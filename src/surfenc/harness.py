@@ -5,9 +5,11 @@ chunks of shots.  Chunk c of point i draws from an independent counter-based
 RNG stream, Philox keyed by (seed, i) with counter (0, 0, c, 0), so results
 are bit-identical no matter how chunks are distributed over workers.
 
-Per chunk: propagate Pauli frames, read the protected error component on the
-data qubits, compute the check syndrome, decode each distinct syndrome once,
-and count shots whose corrected residual flips the protected logical.
+Per chunk: propagate packed Pauli frames, XOR the protected error component
+of the data-qubit rows into one syndrome row per check and one logical
+parity row, count the shots with an empty syndrome directly, decode each
+distinct nonempty syndrome once, and count shots whose corrected residual
+flips the protected logical.
 """
 
 from __future__ import annotations
@@ -23,7 +25,11 @@ import numpy as np
 from .code_model import CodeVariant, build_code
 from .decoder import SyndromeDecoder
 from .encoders import Scheme, Target, generate_circuit
-from .stab_sim import sample_final_frames
+from .stab_sim import sample_packed_frames, unpack_shots
+
+# sample_final_frames stays importable from here: perfbench/rep.py wraps
+# harness.sample_final_frames by that name.
+from .stab_sim import sample_final_frames  # noqa: F401
 
 CHUNK_SHOTS = 65536
 
@@ -61,6 +67,12 @@ class ExperimentConfig:
             raise ValueError("shots must be positive")
         if self.chunk <= 0:
             raise ValueError("chunk must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.min_failures is not None and self.min_failures <= 0:
+            raise ValueError(f"min_failures must be positive, got {self.min_failures}")
         for d in self.distances:
             if d < 3 or d % 2 == 0:
                 raise ValueError(f"distance must be an odd integer >= 3, got {d}")
@@ -122,40 +134,43 @@ def chunk_rng(seed: int, point_index: int, chunk_id: int) -> np.random.Generator
 
 
 class _PointEngine:
-    """Per-point compiled state: circuit, decoder, syndrome matrices."""
+    """Per-point compiled state: circuit, decoder, check and logical rows."""
 
     def __init__(self, variant: str, scheme: str, target: str, d: int, p: float):
         self.code = build_code(CodeVariant(variant), d)
         self.circuit = generate_circuit(variant, d, scheme, target, p)
         self.decoder = SyndromeDecoder(self.code, target)
-        n_data = self.code.n_data
         checks = self.decoder.graph.checks
-        self.h = np.zeros((len(checks), n_data), dtype=np.uint8)
-        for i, c in enumerate(checks):
-            for q in c.support:
-                self.h[i, q] = 1
+        # check i's syndrome row is the XOR of frame rows
+        # check_rows[check_starts[i]:check_starts[i + 1]]
+        self.check_rows = np.array([q for c in checks for q in c.support])
+        self.check_starts = np.cumsum([0] + [len(c.support) for c in checks[:-1]])
         logical = (
             self.code.logical_z if target == "zero" else self.code.logical_x
         )
-        self.lvec = np.zeros(n_data, dtype=np.uint8)
-        for q in logical:
-            self.lvec[q] = 1
+        self.logical_rows = np.array(sorted(logical))
         self.protected_x = target == "zero"
 
     def count_chunk_failures(self, shots: int, rng: np.random.Generator) -> int:
-        fx, fz = sample_final_frames(self.circuit, shots, rng)
+        fx, fz = sample_packed_frames(self.circuit, shots, rng)
         frame = fx if self.protected_x else fz
-        err = frame[:, : self.code.n_data].astype(np.uint8)
-        syn_bits = (err @ self.h.T) & 1
-        lpar = (err @ self.lvec) & 1
-        packed = np.packbits(syn_bits, axis=1, bitorder="little")
-        uniq, inv = np.unique(packed, axis=0, return_inverse=True)
-        corr_lpar = np.empty(len(uniq), dtype=np.uint8)
+        syn = np.bitwise_xor.reduceat(frame[self.check_rows], self.check_starts, axis=0)
+        lpar = unpack_shots(np.bitwise_xor.reduce(frame[self.logical_rows], axis=0), shots)
+        flagged = unpack_shots(np.bitwise_or.reduce(syn, axis=0), shots)
+        # an empty syndrome decodes to no correction: failure iff parity set
+        failures = int((lpar & ~flagged).sum())
+        shot_idx = np.flatnonzero(flagged)
+        syn_bits = unpack_shots(syn, shots)[:, shot_idx]
+        packed = np.packbits(syn_bits.T, axis=1, bitorder="little")
+        # one opaque key per row: a 1-D sort, much cheaper than axis=0
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        uniq, inv = np.unique(keys, return_inverse=True)
+        corr_lpar = np.empty(len(uniq), dtype=bool)
         for i, row in enumerate(uniq):
             syndrome = int.from_bytes(row.tobytes(), "little")
             _, lp = self.decoder.decode_syndrome(syndrome)
             corr_lpar[i] = lp
-        return int(((lpar ^ corr_lpar[inv]) == 1).sum())
+        return failures + int((lpar[shot_idx] ^ corr_lpar[inv]).sum())
 
 
 _ENGINE_CACHE: dict[tuple, _PointEngine] = {}

@@ -9,11 +9,13 @@ Three independent execution routes over the same circuit IR:
 * BatchTableau: many shots at once.  CX and reset patterns are identical
   across shots, so the binary part of the tableau is shared and only the
   per-shot sign bits (plus measurement outcomes) are batched.
-* sample_final_frames: vectorized Pauli-frame Monte Carlo; returns the
-  accumulated X and Z frame components at the end of the circuit.
+* sample_packed_frames: packed, sparse-noise Pauli-frame Monte Carlo;
+  returns the accumulated X and Z frame components at the end of the
+  circuit, 64 shots per uint64 word.  sample_final_frames unpacks them.
 
 Conventions: qubit q's X/Z component is bit q of an integer mask
-(PauliString) or column q of a bool array (tableau, frames).
+(PauliString), column q of a bool array (tableau, unpacked frames) or row q
+of a packed frame.
 """
 
 from __future__ import annotations
@@ -74,9 +76,6 @@ class PauliString:
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         return PauliString(self.n, self.x ^ other.x, self.z ^ other.z)
-
-    def restricted(self, mask: int) -> "PauliString":
-        return PauliString(self.n, self.x & mask, self.z & mask)
 
     def propagate(self, instr: Instruction) -> "PauliString":
         """Image of this Pauli when pushed forward past one instruction.
@@ -438,45 +437,89 @@ class BatchTableau:
         return np.where(sr4 == 0, 1, -1).astype(np.int8)
 
 
-def sample_final_frames(
+def _sample_hits(
+    rng: np.random.Generator, sites: int, shots: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(site, shot) indices of the hits when each site fails with p per shot.
+
+    The hit count is Binomial(sites * shots, p) and the hits are a uniform
+    subset of that size, which together is exactly an independent
+    Bernoulli(p) draw per site and shot.
+    """
+    trials = sites * shots
+    hits = rng.binomial(trials, p)
+    flat = rng.choice(trials, size=hits, replace=False, shuffle=False)
+    return np.divmod(flat, shots)
+
+
+# DEPOLARIZE2 Pauli k in 1..15, bits most significant first: X on a, Z on a,
+# X on b, Z on b.  Bit j of that order is frame component j % 2 (0 = X,
+# 1 = Z) on pair side j // 2.
+_DEPOL_SHIFTS = np.array([3, 2, 1, 0])
+
+
+def sample_packed_frames(
     circuit: Circuit, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli-frame Monte Carlo: (x_frame, z_frame) bool arrays (shots, n).
+    """Pauli-frame Monte Carlo: packed (x_frame, z_frame), (n, ceil(shots/64)).
 
-    The frame is the accumulated Pauli error relative to the noiseless run.
-    Resets clear both components; measurements leave the frame untouched
-    (outcome flips are readable off the frame at measurement time by the
-    caller if needed, but no instruction here consumes them).
+    Frames are qubit-major with 64 shots per uint64 word: shot s of qubit q
+    is bit s % 64 of word [q, s // 64], and the padding bits past `shots`
+    stay zero.  The frame is the accumulated Pauli error relative to the
+    noiseless run.  A CX is two row XORs and a reset zeroes two rows;
+    measurements leave the frame untouched.  Noise is sampled sparsely: a
+    noise instruction draws its hit count, then the distinct hit positions
+    over its sites x shots, then (for DEPOLARIZE2) one Pauli in 1..15 per
+    hit, so the draws scale with the number of errors, not of shots.
     """
     n = circuit.n_qubits
-    fx = np.zeros((shots, n), dtype=bool)
-    fz = np.zeros((shots, n), dtype=bool)
+    words = (shots + 63) // 64
+    frames = np.zeros((2, n, words), dtype=np.uint64)
+    fx, fz = frames
+    flat = frames.reshape(-1)
+
+    def flip(component, qubit, shot):
+        # XOR one bit per hit; ufunc.at so that hits sharing a word all land
+        bits = np.left_shift(np.uint64(1), (shot & 63).astype(np.uint64))
+        np.bitwise_xor.at(flat, (component * n + qubit) * words + (shot >> 6), bits)
+
     for _, instr in circuit.instructions():
         name = instr.name
         if name == "CX":
             for c, t in instr.pairs():
-                fx[:, t] ^= fx[:, c]
-                fz[:, c] ^= fz[:, t]
+                fx[t] ^= fx[c]
+                fz[c] ^= fz[t]
         elif name in ("R", "RX"):
-            for q in instr.targets:
-                fx[:, q] = False
-                fz[:, q] = False
+            frames[:, list(instr.targets)] = 0
         elif name in ("M", "MX"):
             pass
-        elif name == "X_ERROR":
-            flips = rng.random((shots, len(instr.targets))) < instr.arg
-            fx[:, list(instr.targets)] ^= flips
-        elif name == "Z_ERROR":
-            flips = rng.random((shots, len(instr.targets))) < instr.arg
-            fz[:, list(instr.targets)] ^= flips
+        elif name in ("X_ERROR", "Z_ERROR"):
+            targets = np.array(instr.targets)
+            site, shot = _sample_hits(rng, len(targets), shots, instr.arg)
+            flip(0 if name == "X_ERROR" else 1, targets[site], shot)
         elif name == "DEPOLARIZE2":
-            for a, b in instr.pairs():
-                mask = rng.random(shots) < instr.arg
-                k = rng.integers(1, 16, shots)
-                fx[:, a] ^= mask & (((k >> 3) & 1) == 1)
-                fz[:, a] ^= mask & (((k >> 2) & 1) == 1)
-                fx[:, b] ^= mask & (((k >> 1) & 1) == 1)
-                fz[:, b] ^= mask & ((k & 1) == 1)
+            pairs = np.array(instr.targets).reshape(-1, 2)
+            site, shot = _sample_hits(rng, len(pairs), shots, instr.arg)
+            k = rng.integers(1, 16, len(site))
+            hit, j = np.nonzero((k[:, None] >> _DEPOL_SHIFTS) & 1)
+            flip(j % 2, pairs[site[hit], j // 2], shot[hit])
         else:
             raise ValueError(f"unsupported instruction {name}")
     return fx, fz
+
+
+def unpack_shots(packed: np.ndarray, shots: int) -> np.ndarray:
+    """Bool bits (..., shots) of packed uint64 words (..., ceil(shots/64))."""
+    as_bytes = packed.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=shots, bitorder="little").view(bool)
+
+
+def sample_final_frames(
+    circuit: Circuit, shots: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """sample_packed_frames unpacked to (x_frame, z_frame) bool arrays (shots, n)."""
+    fx, fz = sample_packed_frames(circuit, shots, rng)
+    return (
+        np.ascontiguousarray(unpack_shots(fx, shots).T),
+        np.ascontiguousarray(unpack_shots(fz, shots).T),
+    )

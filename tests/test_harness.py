@@ -73,12 +73,50 @@ def test_config_validation_and_roundtrip():
         ExperimentConfig(noise_strengths=(1.5,))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -1),
+        ("seed", 2**64),
+        ("min_failures", 0),
+        ("min_failures", -1),
+        ("workers", 0),
+    ],
+)
+def test_config_rejects_out_of_range_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_accepts_range_edges():
+    ExperimentConfig(seed=2**64 - 1, min_failures=1, workers=1)
+    ExperimentConfig(min_failures=None, workers=None)
+    chunk_rng(2**64 - 1, 0, 0)  # the largest seed still keys Philox
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.delenv("SURFENC_WORKERS", raising=False)
     assert resolve_workers(None) == 1
     assert resolve_workers(3) == 3
     monkeypatch.setenv("SURFENC_WORKERS", "5")
     assert resolve_workers(None) == 5
+
+
+def _per_shot_failures(variant, scheme, d, p, shots, seed):
+    """Failures of one chunk decoded shot by shot, and the top syndrome bit."""
+    circ = generate_circuit(variant, d, scheme, "zero", p)
+    fx, _ = sample_final_frames(circ, shots, chunk_rng(seed, 0, 0))
+    code = build_code(variant, d)
+    dec = SyndromeDecoder(code, "zero")
+    failures = top_bit = 0
+    for s in range(shots):
+        mask = 0
+        for q in code.data_ids:
+            if fx[s, q]:
+                mask |= 1 << q
+        failures += dec.is_logical_failure(mask)
+        top_bit = max(top_bit, dec.syndrome_of(mask).bit_length())
+    return failures, top_bit
 
 
 def test_failure_count_matches_per_shot_decoding():
@@ -94,22 +132,36 @@ def test_failure_count_matches_per_shot_decoding():
     )
     (res,) = run_experiment(cfg)
     assert res.shots == 2000
-
-    circ = generate_circuit("rotated", 3, "ue", "zero", 0.05)
-    fx, fz = sample_final_frames(circ, 2000, chunk_rng(13, 0, 0))
-    code = build_code("rotated", 3)
-    dec = SyndromeDecoder(code, "zero")
-    direct = 0
-    for s in range(2000):
-        mask = 0
-        for q in code.data_ids:
-            if fx[s, q]:
-                mask |= 1 << q
-        direct += dec.is_logical_failure(mask)
+    direct, _ = _per_shot_failures("rotated", "ue", 3, 0.05, 2000, 13)
     assert res.failures == direct
     lo, hi = wilson_interval(res.failures, res.shots)
     assert (res.ci_lo, res.ci_hi) == (lo, hi)
     assert res.p_l == res.failures / res.shots
+
+
+@pytest.mark.parametrize(
+    "variant, d, p, shots, checks",
+    [("rotated", 5, 0.03, 400, 12), ("unrotated", 9, 0.04, 200, 72)],
+)
+def test_failure_count_matches_per_shot_decoding_on_multibyte_syndromes(
+    variant, d, p, shots, checks
+):
+    # pins the bit order between the packed syndrome and the decoder's int:
+    # 12 checks span two bytes, 72 checks more than one 64-bit word
+    cfg = ExperimentConfig(
+        variant=variant,
+        scheme="uea",
+        target="zero",
+        distances=(d,),
+        noise_strengths=(p,),
+        shots=shots,
+        seed=13,
+    )
+    (res,) = run_experiment(cfg)
+    direct, top_bit = _per_shot_failures(variant, "uea", d, p, shots, 13)
+    assert res.failures == direct
+    assert res.failures > 0
+    assert top_bit > checks - 8  # the last byte of the syndrome is in use
 
 
 def test_results_identical_across_worker_counts():

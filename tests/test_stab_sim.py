@@ -9,7 +9,9 @@ from surfenc.stab_sim import (
     PauliString,
     TableauSimulator,
     sample_final_frames,
+    sample_packed_frames,
 )
+from surfenc.encoders import generate_circuit
 
 
 def test_pauli_label_roundtrip():
@@ -204,3 +206,73 @@ def test_frame_reset_clears():
     )
     fx, fz = sample_final_frames(circ, 10, np.random.default_rng(0))
     assert not fx.any() and not fz.any()
+
+
+def _bit(packed, q, s):
+    return bool((int(packed[q, s // 64]) >> (s % 64)) & 1)
+
+
+@pytest.mark.parametrize("shots", [1, 63, 64, 65, 1000])
+def test_final_frames_unpack_packed_frames(shots):
+    circ = generate_circuit("rotated", 3, "uea", "zero", 0.05)
+    px, pz = sample_packed_frames(circ, shots, np.random.default_rng(21))
+    fx, fz = sample_final_frames(circ, shots, np.random.default_rng(21))
+    n = circ.n_qubits
+    assert px.shape == pz.shape == (n, (shots + 63) // 64)
+    assert px.dtype == pz.dtype == np.uint64
+    assert fx.shape == fz.shape == (shots, n)
+    for q in range(n):
+        for s in range(shots):
+            assert fx[s, q] == _bit(px, q, s)
+            assert fz[s, q] == _bit(pz, q, s)
+
+
+@pytest.mark.parametrize("shots", [1, 63, 65, 1000])
+def test_packed_padding_bits_stay_zero(shots):
+    # at p=1 every valid shot is drawn, so a draw past `shots` would show
+    circ = Circuit(
+        3,
+        [
+            [Instruction("X_ERROR", (0, 1, 2), 1.0), Instruction("Z_ERROR", (0, 1, 2), 1.0)],
+            [Instruction("CX", (0, 1))],
+            [Instruction("DEPOLARIZE2", (1, 2), 1.0)],
+        ],
+    )
+    for frame in sample_packed_frames(circ, shots, np.random.default_rng(3)):
+        last = frame[:, -1].astype(object)
+        assert all(word >> (shots % 64) == 0 for word in last)
+
+
+def test_packed_noise_extremes():
+    shots = 200
+    for p, want in ((0.0, False), (1.0, True)):
+        circ = Circuit(
+            4,
+            [[
+                Instruction("X_ERROR", (0,), p),
+                Instruction("Z_ERROR", (1,), p),
+                Instruction("DEPOLARIZE2", (2, 3), p),
+            ]],
+        )
+        fx, fz = sample_final_frames(circ, shots, np.random.default_rng(4))
+        assert (fx[:, 0] == want).all() and not fz[:, 0].any()
+        assert (fz[:, 1] == want).all() and not fx[:, 1].any()
+        hit = fx[:, 2] | fz[:, 2] | fx[:, 3] | fz[:, 3]
+        assert (hit == want).all()
+
+
+def test_packed_marginal_flip_rates():
+    # X_ERROR flips with p; DEPOLARIZE2 sets each of its four components in
+    # 8 of the 15 Paulis, so with rate 8p/15; all within 5 sigma
+    shots, p = 1 << 16, 0.06
+    circ = Circuit(
+        6,
+        [[Instruction("X_ERROR", (0, 1), p), Instruction("DEPOLARIZE2", (2, 3, 4, 5), p)]],
+    )
+    fx, fz = sample_final_frames(circ, shots, np.random.default_rng(5))
+    cases = [(fx[:, 0], p), (fx[:, 1], p)]
+    for q in (2, 3, 4, 5):
+        cases += [(fx[:, q], 8 * p / 15), (fz[:, q], 8 * p / 15)]
+    for column, rate in cases:
+        sigma = np.sqrt(rate * (1 - rate) / shots)
+        assert abs(column.mean() - rate) < 5 * sigma
