@@ -19,7 +19,6 @@ import json
 import sys
 
 from .code_model import CodeVariant, build_code
-from .decoder import SyndromeDecoder
 from .encoders import Scheme, Target, generate_circuit
 from .fault_analysis import analyze_faults
 from .harness import (
@@ -31,9 +30,23 @@ from .harness import (
 )
 
 
+def _distance(text: str) -> int:
+    d = int(text)
+    if d < 3 or d % 2 == 0:
+        raise argparse.ArgumentTypeError(f"distance must be an odd integer >= 3, got {d}")
+    return d
+
+
+def _probability(text: str) -> float:
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"noise strength must be in [0, 1], got {p}")
+    return p
+
+
 def _add_circuit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", choices=[v.value for v in CodeVariant], required=True)
-    p.add_argument("--distance", "-d", type=int, required=True)
+    p.add_argument("--distance", "-d", type=_distance, required=True)
     p.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
     p.add_argument("--target", choices=[t.value for t in Target], default="zero")
 
@@ -46,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="emit a circuit in text form")
     _add_circuit_args(g)
-    g.add_argument("--p", type=float, default=0.0, help="noise strength")
+    g.add_argument("--p", type=_probability, default=0.0, help="noise strength")
     g.add_argument("--scrambled", action="store_true")
     g.add_argument("--out", help="write to file instead of stdout")
 
@@ -68,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="exhaustive fault enumeration")
     _add_circuit_args(v)
-    v.add_argument("--p", type=float, default=1e-3)
+    v.add_argument("--p", type=_probability, default=1e-3)
     v.add_argument("--scrambled", action="store_true")
     v.add_argument(
         "--pairs", action="store_true", help="also enumerate all fault pairs"
@@ -108,7 +121,7 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _load_config(args) -> ExperimentConfig:
     payload: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -127,7 +140,15 @@ def _cmd_simulate(args) -> int:
         value = getattr(args, key)
         if value is not None:
             payload[key] = value
-    config = ExperimentConfig.from_dict(payload)
+    return ExperimentConfig.from_dict(payload)
+
+
+def _cmd_simulate(args) -> int:
+    try:
+        config = _load_config(args)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"surfenc: error: {exc}", file=sys.stderr)
+        return 2
     results = run_experiment(config)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -145,12 +166,6 @@ def _cmd_verify(args) -> int:
     circuit = generate_circuit(
         variant, args.distance, scheme, target, args.p, scrambled=args.scrambled
     )
-    decoder = SyndromeDecoder(
-        code,
-        target.value
-        if not args.complementary
-        else ("plus" if target is Target.ZERO else "zero"),
-    )
     report = analyze_faults(
         circuit,
         code,
@@ -158,7 +173,6 @@ def _cmd_verify(args) -> int:
         scheme,
         max_weight=2 if args.pairs else 1,
         complementary=args.complementary,
-        decoder=decoder,
     )
     print(report.summary())
     for combo in report.failing_combinations[:20]:

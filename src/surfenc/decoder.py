@@ -1,9 +1,14 @@
-"""Exact minimum-weight matching decoder for one check kind.
+"""The check matrix of a protected target and its exact matching decoder.
 
-The matching graph has one node per stabilizer check of the chosen kind plus
-a single boundary node; every data qubit contributes exactly one edge,
-between the checks that contain it (or to the boundary when only one does).
-Distances and deterministic shortest paths come from breadth-first search.
+CheckMatrix alone decides what a residual's syndrome is: from the protected
+target (and, for scheme me, the measured checks) it fixes the detecting
+checks, the qubits each syndrome bit reads, the logical and the residual
+component (X or Z) read.  Syndromes are Python ints of any width.
+
+The matching graph has one node per detecting check plus a single boundary
+node; every data qubit contributes exactly one edge, between the checks that
+contain it (or to the boundary when only one does).  Distances and
+deterministic shortest paths come from breadth-first search.
 
 Decoding pairs up syndrome defects (and optionally the boundary) with exact
 minimum total distance: a subset dynamic program up to 14 defects, blossom
@@ -18,24 +23,83 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .code_model import SurfaceCode
+from .code_model import StabilizerCheck, SurfaceCode
+from .encoders import Scheme, Target, prepared_check_kind
+from .stab_sim import qubit_mask
 
 _DP_LIMIT = 14
 
 
+@dataclass(frozen=True)
+class CheckMatrix:
+    """Syndrome and logical parity of residuals for one protected target.
+
+    Target zero protects logical Z against X errors, which flag Z checks;
+    target plus is the dual.  Row i reads the qubits in supports[i]: the
+    support of detecting check i and, where the circuit measured that check
+    (scheme me), its ancilla, since a residual there flips the recorded
+    outcome.
+    """
+
+    target: Target
+    kind: str  # detecting check kind
+    axis: str  # 'X' or 'Z': the residual component that is read
+    checks: tuple[StabilizerCheck, ...]
+    supports: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]  # supports as bitmasks
+    logical_support: tuple[int, ...]
+    logical: int
+
+    @classmethod
+    def of(
+        cls,
+        code: SurfaceCode,
+        target: Target | str,
+        scheme: Scheme | str | None = None,
+        complementary: bool = False,
+    ) -> "CheckMatrix":
+        """The matrix that judges a circuit preparing `target`.
+
+        complementary judges the unprotected error type instead: the dual
+        target's matrix, with the measured ancillas' outcome bits for me.
+        """
+        target = Target(target)
+        measured = None
+        if scheme is not None and Scheme(scheme) is Scheme.ME:
+            measured = prepared_check_kind(target)
+        if complementary:
+            target = Target.PLUS if target is Target.ZERO else Target.ZERO
+        kind, axis = ("Z", "X") if target is Target.ZERO else ("X", "Z")
+        checks = code.checks(kind)
+        supports = tuple(
+            c.support + ((c.ancilla,) if c.kind == measured else ()) for c in checks
+        )
+        logical = tuple(code.logical_z if kind == "Z" else code.logical_x)
+        return cls(
+            target, kind, axis, checks, supports, tuple(map(qubit_mask, supports)),
+            logical, qubit_mask(logical),
+        )
+
+    def read(self, x: int, z: int) -> int:
+        """The component of a residual (x, z) that this matrix judges."""
+        return x if self.axis == "X" else z
+
+    def syndrome(self, mask: int) -> int:
+        return sum(((mask & row).bit_count() & 1) << i for i, row in enumerate(self.rows))
+
+    def logical_parity(self, mask: int) -> int:
+        return (mask & self.logical).bit_count() & 1
+
+
 class MatchingGraph:
     def __init__(self, code: SurfaceCode, check_kind: str):
+        if check_kind not in ("X", "Z"):
+            raise ValueError(f"check kind must be 'X' or 'Z', got {check_kind!r}")
         self.code = code
-        self.check_kind = check_kind
-        self.checks = code.checks(check_kind)
+        self.matrix = CheckMatrix.of(code, "zero" if check_kind == "Z" else "plus")
+        self.checks = self.matrix.checks
         m = len(self.checks)
         self.boundary = m
-        self.support_masks = []
-        for c in self.checks:
-            mask = 0
-            for q in c.support:
-                mask |= 1 << q
-            self.support_masks.append(mask)
 
         containing: dict[int, list[int]] = {}
         for i, c in enumerate(self.checks):
@@ -97,11 +161,7 @@ class MatchingGraph:
         return mask
 
     def syndrome_of(self, error_mask: int) -> int:
-        syn = 0
-        for i, smask in enumerate(self.support_masks):
-            if (error_mask & smask).bit_count() % 2:
-                syn |= 1 << i
-        return syn
+        return self.matrix.syndrome(error_mask)
 
     def decode(self, syndrome: int) -> tuple[int, int]:
         """Minimum-weight correction for a syndrome: (data mask, weight)."""
@@ -201,43 +261,35 @@ def match_defects_bruteforce(graph: MatchingGraph, defects: list[int]) -> int:
 class SyndromeDecoder:
     """Caching decoder bound to a code and a protected preparation target.
 
-    Target zero protects logical Z against X errors, which flag Z checks;
-    target plus is the dual.  Corrections and their logical parities are
-    cached per packed syndrome, so repeated syndromes decode once.
+    The target's CheckMatrix says which checks flag which errors; the
+    matching graph is built on those checks.  Corrections and their logical
+    parities are cached per syndrome, so repeated syndromes decode once.
     """
 
     code: SurfaceCode
     target: str
     graph: MatchingGraph = field(init=False)
-    logical_mask: int = field(init=False)
+    matrix: CheckMatrix = field(init=False)
     _cache: dict[int, tuple[int, int]] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.target not in ("zero", "plus"):
-            raise ValueError(f"target must be 'zero' or 'plus', got {self.target!r}")
-        check_kind = "Z" if self.target == "zero" else "X"
-        logical = (
-            self.code.logical_z if self.target == "zero" else self.code.logical_x
-        )
-        self.graph = MatchingGraph(self.code, check_kind)
-        self.logical_mask = 0
-        for q in logical:
-            self.logical_mask |= 1 << q
+        self.matrix = CheckMatrix.of(self.code, self.target)
+        self.graph = MatchingGraph(self.code, self.matrix.kind)
 
     def decode_syndrome(self, syndrome: int) -> tuple[int, int]:
         """(correction mask, correction's protected-logical parity)."""
         hit = self._cache.get(syndrome)
         if hit is None:
             mask, _ = self.graph.decode(syndrome)
-            hit = (mask, (mask & self.logical_mask).bit_count() % 2)
+            hit = (mask, self.matrix.logical_parity(mask))
             self._cache[syndrome] = hit
         return hit
 
     def syndrome_of(self, error_mask: int) -> int:
-        return self.graph.syndrome_of(error_mask)
+        return self.matrix.syndrome(error_mask)
 
     def error_logical_parity(self, error_mask: int) -> int:
-        return (error_mask & self.logical_mask).bit_count() % 2
+        return self.matrix.logical_parity(error_mask)
 
     def is_logical_failure(self, error_mask: int) -> bool:
         """Decode, correct, and test the residual against the logical.
@@ -249,4 +301,4 @@ class SyndromeDecoder:
         residual = error_mask ^ correction
         if self.syndrome_of(residual) != 0:
             raise ValueError("correction did not clear the syndrome")
-        return (residual & self.logical_mask).bit_count() % 2 == 1
+        return self.error_logical_parity(residual) == 1

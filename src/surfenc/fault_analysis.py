@@ -7,38 +7,42 @@ image of an X or Z inserted at the current position; recording the images at
 each noise site yields all single-fault residuals in one pass.  Residuals of
 fault combinations are XORs of the single-fault residuals.
 
-A residual is judged against the preparation target: for logical |0> the
-protected component is the X part on data (it can flip logical Z), decoded
-through the Z-check syndrome; logical |+> is the dual.  A combination fails
-if after minimum-weight matching the corrected residual still flips the
-protected logical.  For measurement-based circuits, residual Paulis on a
-measured ancilla anticommuting with its readout basis count as outcome
-flips, entering the syndrome of the measured check kind.
+A residual is judged by the target's CheckMatrix (decoder.py), which gives
+its syndrome and its protected-logical parity as Python ints of any width.
+A combination fails if after minimum-weight matching the corrected residual
+still flips the protected logical.  The complementary analysis uses the dual
+target's matrix, which for measurement-based circuits also reads the
+measured ancillas' outcome flips.
+
+Single faults are grouped by syndrome, and the U distinct syndromes are
+decoded once; pairs then need only the U x U table of decoded XORs of two
+distinct syndromes, since syndrome and parity are linear in the residual.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_ir import Circuit
+from .circuit_ir import Circuit, Instruction
 from .code_model import SurfaceCode
-from .decoder import SyndromeDecoder
+from .decoder import CheckMatrix, SyndromeDecoder
 from .encoders import (
     EncodingPlan,
     Scheme,
     Target,
     gadget_gates,
     measure_block_gates,
-    prepared_check_kind,
 )
+from .stab_sim import PauliString, pauli_letter, qubit_mask
 
-_PAULI_LETTER = "IXZY"
-
-
-def _letter(x: int, z: int) -> str:
-    return _PAULI_LETTER[x + 2 * z]
+# the 15 two-qubit basis faults of DEPOLARIZE2 as (label, xa, za, xb, zb)
+_PAIR_BASES = tuple(
+    (pauli_letter(xa, za) + pauli_letter(xb, zb), xa, za, xb, zb)
+    for xa, za, xb, zb in itertools.product((0, 1), repeat=4)
+)[1:]
 
 
 @dataclass(frozen=True)
@@ -93,12 +97,10 @@ def backward_images(circuit: Circuit) -> list[BasisFault]:
             # leaves sites in forward reading order
             for a, b in reversed(instr.pairs()):
                 faults = []
-                for k in range(1, 16):
-                    xa, za = (k >> 3) & 1, (k >> 2) & 1
-                    xb, zb = (k >> 1) & 1, k & 1
+                for basis, xa, za, xb, zb in _PAIR_BASES:
                     rx = (img_x[a] if xa else 0) ^ (img_x[b] if xb else 0)
                     rz = (img_z[a] if za else 0) ^ (img_z[b] if zb else 0)
-                    faults.append((_letter(xa, za) + _letter(xb, zb), rx, rz))
+                    faults.append((basis, rx, rz))
                 recorded.append((layer, name, (a, b), faults))
         elif name == "X_ERROR":
             for q in reversed(instr.targets):
@@ -116,52 +118,6 @@ def backward_images(circuit: Circuit) -> list[BasisFault]:
         for basis, rx, rz in faults:
             out.append(BasisFault(site, basis, rx, rz))
     return out
-
-
-@dataclass(frozen=True)
-class SyndromeMap:
-    """Packs a residual Pauli into (syndrome int, logical parity)."""
-
-    check_masks: tuple[int, ...]
-    logical_mask: int
-    protected_axis: str  # 'X' or 'Z': which residual component is read
-
-    def extract(self, res_x: int, res_z: int) -> tuple[int, int]:
-        res = res_x if self.protected_axis == "X" else res_z
-        syn = 0
-        for i, m in enumerate(self.check_masks):
-            if (res & m).bit_count() % 2:
-                syn |= 1 << i
-        return syn, (res & self.logical_mask).bit_count() % 2
-
-
-def build_syndrome_map(
-    code: SurfaceCode,
-    target: Target,
-    scheme: Scheme,
-    complementary: bool = False,
-) -> SyndromeMap:
-    zero = target is Target.ZERO
-    harmful_axis = "X" if zero else "Z"
-    detect_kind = "Z" if zero else "X"
-    logical = code.logical_z if zero else code.logical_x
-    if complementary:
-        harmful_axis = "Z" if zero else "X"
-        detect_kind = "X" if zero else "Z"
-        logical = code.logical_x if zero else code.logical_z
-    measured_kind = prepared_check_kind(target) if scheme is Scheme.ME else None
-    masks = []
-    for c in code.checks(detect_kind):
-        m = 0
-        for q in c.support:
-            m |= 1 << q
-        if c.kind == measured_kind:
-            m |= 1 << c.ancilla  # residual there flips the recorded outcome
-        masks.append(m)
-    lmask = 0
-    for q in logical:
-        lmask |= 1 << q
-    return SyndromeMap(tuple(masks), lmask, harmful_axis)
 
 
 @dataclass
@@ -194,14 +150,6 @@ class FaultReport:
         )
 
 
-def _decode_parities(decoder: SyndromeDecoder, syndromes: np.ndarray) -> np.ndarray:
-    out = np.empty(len(syndromes), dtype=np.uint8)
-    for i, s in enumerate(syndromes):
-        _, lp = decoder.decode_syndrome(int(s))
-        out[i] = lp
-    return out
-
-
 def analyze_faults(
     circuit: Circuit,
     code: SurfaceCode,
@@ -215,46 +163,47 @@ def analyze_faults(
 
     Pairs combine basis faults from two distinct sites (two faults inside
     one depolarizing channel are mutually exclusive outcomes of a single
-    event, so same-site pairs are excluded).
+    event, so same-site pairs are excluded).  A supplied decoder must
+    protect the same target as the analysis.
     """
     if max_weight not in (1, 2):
         raise ValueError("max_weight must be 1 or 2")
-    smap = build_syndrome_map(code, target, scheme, complementary)
+    matrix = CheckMatrix.of(code, target, scheme, complementary)
     if decoder is None:
-        axis_target = "zero" if smap.protected_axis == "X" else "plus"
-        decoder = SyndromeDecoder(code, axis_target)
+        decoder = SyndromeDecoder(code, matrix.target.value)
+    elif decoder.matrix.target is not matrix.target:
+        raise ValueError(f"the decoder must protect {matrix.target.value!r}")
     faults = backward_images(circuit)
     n_sites = len({f.site.index for f in faults})
 
-    syn = np.empty(len(faults), dtype=np.uint64)
+    # singles: one decode per distinct syndrome
+    index: dict[int, int] = {}
+    inv = np.empty(len(faults), dtype=np.intp)
     lpar = np.empty(len(faults), dtype=np.uint8)
-    site_ids = np.empty(len(faults), dtype=np.int32)
+    site_ids = np.empty(len(faults), dtype=np.intp)
     for i, f in enumerate(faults):
-        s, lp = smap.extract(f.res_x, f.res_z)
-        syn[i] = s
-        lpar[i] = lp
+        res = matrix.read(f.res_x, f.res_z)
+        inv[i] = index.setdefault(matrix.syndrome(res), len(index))
+        lpar[i] = matrix.logical_parity(res)
         site_ids[i] = f.site.index
+    uniq = list(index)
+    corr = np.array([decoder.decode_syndrome(s)[1] for s in uniq], dtype=np.uint8)
 
     failing: list[tuple[str, ...]] = []
-
-    uniq, inv = np.unique(syn, return_inverse=True)
-    corr_lpar = _decode_parities(decoder, uniq)
-    single_fail = (lpar ^ corr_lpar[inv]) == 1
-    for i in np.nonzero(single_fail)[0]:
+    for i in np.flatnonzero(lpar ^ corr[inv]):
         f = faults[i]
         failing.append((f.site.describe(f.basis),))
 
     if max_weight == 2:
-        pair_syn = syn[:, None] ^ syn[None, :]
-        pair_lpar = lpar[:, None] ^ lpar[None, :]
-        valid = np.triu(np.ones(len(faults), dtype=bool), k=1)
-        valid &= site_ids[:, None] != site_ids[None, :]
-        uniq2, inv2 = np.unique(pair_syn[valid], return_inverse=True)
-        corr2 = _decode_parities(decoder, uniq2)
-        fail_flat = (pair_lpar[valid] ^ corr2[inv2]) == 1
-        ii, jj = np.nonzero(valid)
-        for idx in np.nonzero(fail_flat)[0]:
-            a, b = faults[ii[idx]], faults[jj[idx]]
+        # pair (i, j) fails iff lpar_i ^ lpar_j ^ corr(syn_i ^ syn_j) is set
+        table = np.empty((len(uniq), len(uniq)), dtype=np.uint8)
+        for a, sa in enumerate(uniq):
+            for b in range(a, len(uniq)):
+                table[a, b] = table[b, a] = decoder.decode_syndrome(sa ^ uniq[b])[1]
+        fail = (lpar[:, None] ^ lpar[None, :] ^ table[inv[:, None], inv[None, :]]).view(bool)
+        fail &= site_ids[:, None] != site_ids[None, :]
+        for i, j in zip(*np.nonzero(np.triu(fail, k=1))):
+            a, b = faults[i], faults[j]
             failing.append((a.site.describe(a.basis), b.site.describe(b.basis)))
 
     if failing:
@@ -286,17 +235,6 @@ class HookFault:
     complementary_data: tuple[int, ...]
 
 
-def _propagate_masks(
-    gates: list[tuple[int, int]], start: int, x: int, z: int
-) -> tuple[int, int]:
-    for c, t in gates[start:]:
-        if (x >> c) & 1:
-            x ^= 1 << t
-        if (z >> t) & 1:
-            z ^= 1 << c
-    return x, z
-
-
 def hook_catalogue(plan: EncodingPlan) -> dict[int, list[HookFault]]:
     """Per-check catalogue of all depolarizing faults inside its own fan.
 
@@ -305,38 +243,33 @@ def hook_catalogue(plan: EncodingPlan) -> dict[int, list[HookFault]]:
     modulo the fan's own check (whichever representative is lighter).
     """
     code = plan.code
-    kind = plan.kind
-    zero = plan.target is Target.ZERO
-    data_mask = 0
-    for q in code.data_ids:
-        data_mask |= 1 << q
+    protected = CheckMatrix.of(code, plan.target)
+    complementary = CheckMatrix.of(code, plan.target, complementary=True)
+    data_mask = qubit_mask(code.data_ids)
 
     out: dict[int, list[HookFault]] = {}
     if plan.scheme is Scheme.ME:
         units = [(b.check, measure_block_gates(b)) for b in plan.blocks]
     else:
         units = [
-            (g.check, gadget_gates(g, kind)) for stage in plan.stages for g in stage
+            (g.check, gadget_gates(g, plan.kind)) for stage in plan.stages for g in stage
         ]
     for check, gates in units:
-        cmask = 0
-        for q in check.support:
-            cmask |= 1 << q
+        cmask = qubit_mask(check.support)
+        cxs = [Instruction("CX", gate) for gate in gates]
         entries = []
         for gi, (c, t) in enumerate(gates):
-            for k in range(1, 16):
-                xa, za = (k >> 3) & 1, (k >> 2) & 1
-                xb, zb = (k >> 1) & 1, k & 1
-                x0 = (xa << c) | (xb << t)
-                z0 = (za << c) | (zb << t)
-                x, z = _propagate_masks(gates, gi + 1, x0, z0)
-                prot = (x if zero else z) & data_mask
-                comp = (z if zero else x) & data_mask
+            for basis, xa, za, xb, zb in _PAIR_BASES:
+                pauli = PauliString(code.n_qubits, (xa << c) | (xb << t), (za << c) | (zb << t))
+                for cx in cxs[gi + 1 :]:
+                    pauli = pauli.propagate(cx)
+                prot = protected.read(pauli.x, pauli.z) & data_mask
+                comp = complementary.read(pauli.x, pauli.z) & data_mask
                 reduced = min(prot.bit_count(), (prot ^ cmask).bit_count())
                 entries.append(
                     HookFault(
                         gate_index=gi,
-                        basis=_letter(xa, za) + _letter(xb, zb),
+                        basis=basis,
                         protected_data=_bits(prot),
                         protected_reduced_weight=reduced,
                         complementary_data=_bits(comp),
@@ -347,11 +280,4 @@ def hook_catalogue(plan: EncodingPlan) -> dict[int, list[HookFault]]:
 
 
 def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    q = 0
-    while mask:
-        if mask & 1:
-            out.append(q)
-        mask >>= 1
-        q += 1
-    return tuple(out)
+    return tuple(q for q in range(mask.bit_length()) if (mask >> q) & 1)

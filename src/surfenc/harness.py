@@ -6,10 +6,10 @@ RNG stream, Philox keyed by (seed, i) with counter (0, 0, c, 0), so results
 are bit-identical no matter how chunks are distributed over workers.
 
 Per chunk: propagate packed Pauli frames, XOR the protected error component
-of the data-qubit rows into one syndrome row per check and one logical
-parity row, count the shots with an empty syndrome directly, decode each
-distinct nonempty syndrome once, and count shots whose corrected residual
-flips the protected logical.
+of the qubit rows that each row of the target's CheckMatrix reads into one
+syndrome row per check and one logical parity row, count the shots with an
+empty syndrome directly, decode each distinct nonempty syndrome once, and
+count shots whose corrected residual flips the protected logical.
 """
 
 from __future__ import annotations
@@ -140,20 +140,16 @@ class _PointEngine:
         self.code = build_code(CodeVariant(variant), d)
         self.circuit = generate_circuit(variant, d, scheme, target, p)
         self.decoder = SyndromeDecoder(self.code, target)
-        checks = self.decoder.graph.checks
-        # check i's syndrome row is the XOR of frame rows
+        self.matrix = self.decoder.matrix
+        # syndrome bit i is the XOR of frame rows
         # check_rows[check_starts[i]:check_starts[i + 1]]
-        self.check_rows = np.array([q for c in checks for q in c.support])
-        self.check_starts = np.cumsum([0] + [len(c.support) for c in checks[:-1]])
-        logical = (
-            self.code.logical_z if target == "zero" else self.code.logical_x
-        )
-        self.logical_rows = np.array(sorted(logical))
-        self.protected_x = target == "zero"
+        self.check_rows = np.concatenate(self.matrix.supports)
+        self.check_starts = np.cumsum([0] + [len(s) for s in self.matrix.supports[:-1]])
+        self.logical_rows = np.array(self.matrix.logical_support)
 
     def count_chunk_failures(self, shots: int, rng: np.random.Generator) -> int:
         fx, fz = sample_packed_frames(self.circuit, shots, rng)
-        frame = fx if self.protected_x else fz
+        frame = self.matrix.read(fx, fz)
         syn = np.bitwise_xor.reduceat(frame[self.check_rows], self.check_starts, axis=0)
         lpar = unpack_shots(np.bitwise_xor.reduce(frame[self.logical_rows], axis=0), shots)
         flagged = unpack_shots(np.bitwise_or.reduce(syn, axis=0), shots)
@@ -203,7 +199,10 @@ def _chunk_plan(total_shots: int, chunk: int) -> list[int]:
 def resolve_workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
-    return max(1, int(os.environ.get("SURFENC_WORKERS", "1")))
+    raw = os.environ.get("SURFENC_WORKERS", "1")
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"SURFENC_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]:

@@ -27,6 +27,16 @@ import numpy as np
 from .circuit_ir import Circuit, Instruction
 
 
+def pauli_letter(x: int, z: int) -> str:
+    """One qubit's Pauli from its X and Z bits."""
+    return "IXZY"[x + 2 * z]
+
+
+def qubit_mask(qubits) -> int:
+    """Integer bitmask with bit q set for every qubit q."""
+    return sum(1 << q for q in set(qubits))
+
+
 @dataclass(frozen=True)
 class PauliString:
     """n-qubit Pauli modulo phase, as X and Z bitmasks (bit q = qubit q)."""
@@ -37,21 +47,16 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
-        x = z = 0
-        for q, ch in enumerate(label):
-            if ch in "XY":
-                x |= 1 << q
-            if ch in "ZY":
-                z |= 1 << q
+        for ch in label:
             if ch not in "IXYZ":
                 raise ValueError(f"bad Pauli letter {ch!r}")
+        x = qubit_mask(q for q, ch in enumerate(label) if ch in "XY")
+        z = qubit_mask(q for q, ch in enumerate(label) if ch in "ZY")
         return cls(len(label), x, z)
 
     @classmethod
     def from_support(cls, n: int, qubits, kind: str) -> "PauliString":
-        mask = 0
-        for q in qubits:
-            mask |= 1 << q
+        mask = qubit_mask(qubits)
         if kind == "X":
             return cls(n, mask, 0)
         if kind == "Z":
@@ -59,11 +64,9 @@ class PauliString:
         raise ValueError(f"kind must be 'X' or 'Z', got {kind!r}")
 
     def label(self) -> str:
-        out = []
-        for q in range(self.n):
-            xb, zb = (self.x >> q) & 1, (self.z >> q) & 1
-            out.append("IXZY"[xb + 2 * zb] if xb + 2 * zb != 3 else "Y")
-        return "".join(out)
+        return "".join(
+            pauli_letter((self.x >> q) & 1, (self.z >> q) & 1) for q in range(self.n)
+        )
 
     @property
     def weight(self) -> int:

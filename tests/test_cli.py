@@ -99,6 +99,50 @@ def test_verify_clean_and_scrambled(capsys):
     assert "FAIL" in out
 
 
+def test_verify_beyond_64_checks(capsys):
+    # unrotated d=9 has 72 detecting checks
+    rc = main(["verify", "--variant", "unrotated", "-d", "9", "--scheme", "ue"])
+    assert rc == 0
+    assert "no failures" in capsys.readouterr().out
+
+
+_BAD_CIRCUIT_ARGS = [
+    (command, ["-d", d]) for command in ("generate", "count", "verify") for d in ("4", "1", "three")
+] + [
+    (command, ["-d", "3", "--p", p]) for command in ("generate", "verify") for p in ("1.5", "-0.1")
+]
+
+
+@pytest.mark.parametrize("command,extra", _BAD_CIRCUIT_ARGS)
+def test_circuit_commands_reject_bad_distance_and_p(command, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--variant", "rotated", "--scheme", "ue", *extra])
+    assert exc.value.code == 2
+    assert f"surfenc {command}: error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,config,needle",
+    [
+        (["--distances", "4"], None, "distance"),
+        (["--shots", "0"], None, "shots"),
+        ([], {"distances": [3], "colour": "red"}, "unknown config keys"),
+    ],
+)
+def test_simulate_rejects_bad_config_in_one_line(tmp_path, capsys, args, config, needle):
+    argv = ["simulate", "--variant", "rotated", "--scheme", "ue", *args]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("surfenc: error: ")
+    assert needle in lines[0]
+
+
 def test_verify_pairs_flag(capsys):
     rc = main(
         ["verify", "--variant", "rotated", "-d", "3", "--scheme", "uea", "--pairs"]

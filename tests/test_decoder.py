@@ -5,6 +5,7 @@ import pytest
 
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.decoder import (
+    CheckMatrix,
     MatchingGraph,
     SyndromeDecoder,
     _match_blossom,
@@ -121,6 +122,31 @@ def test_path_mask_endpoints():
         assert mask.bit_count() == graph.dist[a][graph.boundary]
         # flipping exactly those qubits toggles check a and nothing else
         assert graph.syndrome_of(mask) == 1 << a
+
+
+@pytest.mark.parametrize("target", ["zero", "plus"])
+def test_check_matrix_syndromes_wider_than_64_bits(target):
+    # unrotated d=9 has 72 checks of each kind
+    code = build_code(CodeVariant.UNROTATED, 9)
+    matrix = CheckMatrix.of(code, target)
+    assert matrix.axis == ("X" if target == "zero" else "Z")
+    assert len(matrix.checks) == 72
+    for q in code.data_ids:
+        want = sum(1 << i for i, c in enumerate(matrix.checks) if q in c.support)
+        assert matrix.syndrome(1 << q) == want
+    assert max(matrix.syndrome(1 << q) for q in code.data_ids).bit_length() == 72
+    logical = code.logical_z if target == "zero" else code.logical_x
+    assert matrix.logical_parity(1 << logical[0]) == 1
+    dec = SyndromeDecoder(code, target)
+    last = matrix.checks[-1].support[0]
+    assert not dec.is_logical_failure(1 << last)
+
+
+def test_check_matrix_complementary_is_the_dual_target():
+    code = build_code(CodeVariant.ROTATED, 5)
+    for target, dual in (("zero", "plus"), ("plus", "zero")):
+        comp = CheckMatrix.of(code, target, "ue", complementary=True)
+        assert comp == CheckMatrix.of(code, dual)
 
 
 def test_decoder_rejects_unknown_target():

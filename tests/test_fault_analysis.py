@@ -6,12 +6,8 @@ import pytest
 from surfenc.circuit_ir import Circuit, Instruction
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.encoders import Scheme, Target, build_plan, generate_circuit, scramble_plan
-from surfenc.fault_analysis import (
-    analyze_faults,
-    backward_images,
-    build_syndrome_map,
-    hook_catalogue,
-)
+from surfenc.decoder import CheckMatrix, SyndromeDecoder
+from surfenc.fault_analysis import analyze_faults, backward_images, hook_catalogue
 from surfenc.encoders import plan_to_circuit
 from surfenc.stab_sim import PauliString
 
@@ -103,21 +99,21 @@ def test_site_description_format():
     assert f.basis in text
 
 
-def test_syndrome_map_me_includes_outcome_bits():
+def test_check_matrix_me_includes_outcome_bits():
     code = build_code(CodeVariant.ROTATED, 3)
-    comp = build_syndrome_map(code, Target.ZERO, Scheme.ME, complementary=True)
-    assert comp.protected_axis == "Z"
-    for check, mask in zip(code.x_checks, comp.check_masks):
+    comp = CheckMatrix.of(code, Target.ZERO, Scheme.ME, complementary=True)
+    assert comp.axis == "Z"
+    for check, mask in zip(code.x_checks, comp.rows):
         assert mask >> check.ancilla & 1
-    prot = build_syndrome_map(code, Target.ZERO, Scheme.ME)
-    for check, mask in zip(code.z_checks, prot.check_masks):
+    prot = CheckMatrix.of(code, Target.ZERO, Scheme.ME)
+    for check, mask in zip(code.z_checks, prot.rows):
         assert not mask >> check.ancilla & 1
 
 
-def test_syndrome_map_unitary_has_no_outcome_bits():
+def test_check_matrix_unitary_has_no_outcome_bits():
     code = build_code(CodeVariant.ROTATED, 3)
-    comp = build_syndrome_map(code, Target.ZERO, Scheme.UE, complementary=True)
-    for check, mask in zip(code.x_checks, comp.check_masks):
+    comp = CheckMatrix.of(code, Target.ZERO, Scheme.UE, complementary=True)
+    for check, mask in zip(code.x_checks, comp.rows):
         assert not mask >> check.ancilla & 1
 
 
@@ -151,6 +147,38 @@ def test_fault_pairs_break_d3_but_not_singles():
     assert len(report.failing_combinations) > 0
     assert report.certified_fault_distance_lower_bound == 2
     assert all(len(combo) == 2 for combo in report.failing_combinations)
+
+
+@pytest.mark.parametrize(
+    "variant,d,scheme,target,max_weight",
+    [
+        (CodeVariant.UNROTATED, 9, Scheme.UE, Target.ZERO, 1),
+        (CodeVariant.UNROTATED, 9, Scheme.UE, Target.ZERO, 2),
+        (CodeVariant.ROTATED, 13, Scheme.ME, Target.PLUS, 1),
+    ],
+)
+def test_analysis_beyond_64_checks(variant, d, scheme, target, max_weight):
+    # 72 and 84 detecting checks: syndromes no longer fit in 64 bits
+    circuit = generate_circuit(variant, d, scheme, target, 1e-3)
+    code = build_code(variant, d)
+    assert len(code.x_checks) == len(code.z_checks) > 64
+    report = analyze_faults(circuit, code, target, scheme, max_weight=max_weight)
+    assert report.failing_combinations == []
+    assert report.certified_fault_distance_lower_bound == max_weight + 1
+
+
+def test_analyze_faults_rejects_decoder_for_other_target():
+    circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
+    code = build_code(CodeVariant.ROTATED, 3)
+    with pytest.raises(ValueError, match="decoder must protect"):
+        analyze_faults(
+            circuit, code, Target.ZERO, Scheme.UE, decoder=SyndromeDecoder(code, "plus")
+        )
+    report = analyze_faults(
+        circuit, code, Target.ZERO, Scheme.UE, complementary=True,
+        decoder=SyndromeDecoder(code, "plus"),
+    )
+    assert report.analysis == "complementary"
 
 
 def test_analyze_faults_rejects_bad_weight():

@@ -100,6 +100,10 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers(3) == 3
     monkeypatch.setenv("SURFENC_WORKERS", "5")
     assert resolve_workers(None) == 5
+    for bad in ("0", "-3", "two", "1.5", ""):
+        monkeypatch.setenv("SURFENC_WORKERS", bad)
+        with pytest.raises(ValueError, match="SURFENC_WORKERS"):
+            resolve_workers(None)
 
 
 def _per_shot_failures(variant, scheme, d, p, shots, seed):
