@@ -98,6 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception) -> int:
+    """Report bad input or an unusable file in one line; exit status 2."""
+    print(f"surfenc: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_generate(args) -> int:
     circuit = generate_circuit(
         args.variant, args.distance, args.scheme, args.target, args.p,
@@ -105,8 +111,11 @@ def _cmd_generate(args) -> int:
     )
     text = circuit.to_text()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _error(exc)
     else:
         sys.stdout.write(text)
     return 0
@@ -147,8 +156,7 @@ def _cmd_simulate(args) -> int:
     try:
         config = _load_config(args)
     except (OSError, ValueError, TypeError) as exc:
-        print(f"surfenc: error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     results = run_experiment(config)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -183,8 +191,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with open(args.csv) as fh:
-        results = read_results_csv(fh)
+    try:
+        with open(args.csv) as fh:
+            results = read_results_csv(fh)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     rows = compare_schemes(results)
     if not rows:
         print("no comparable points found", file=sys.stderr)

@@ -153,8 +153,8 @@ class FaultReport:
 def analyze_faults(
     circuit: Circuit,
     code: SurfaceCode,
-    target: Target,
-    scheme: Scheme,
+    target: Target | str,
+    scheme: Scheme | str,
     max_weight: int = 1,
     complementary: bool = False,
     decoder: SyndromeDecoder | None = None,
@@ -168,6 +168,7 @@ def analyze_faults(
     """
     if max_weight not in (1, 2):
         raise ValueError("max_weight must be 1 or 2")
+    target, scheme = Target(target), Scheme(scheme)
     matrix = CheckMatrix.of(code, target, scheme, complementary)
     if decoder is None:
         decoder = SyndromeDecoder(code, matrix.target.value)

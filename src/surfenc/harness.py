@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -47,6 +48,16 @@ CSV_COLUMNS = (
 )
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; floats, bools and strings raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     variant: str = "rotated"
@@ -61,8 +72,15 @@ class ExperimentConfig:
     chunk: int = CHUNK_SHOTS
 
     def __post_init__(self):
-        self.distances = tuple(int(d) for d in self.distances)
+        self.distances = tuple(_integer("distances", d) for d in self.distances)
         self.noise_strengths = tuple(float(p) for p in self.noise_strengths)
+        self.shots = _integer("shots", self.shots)
+        self.seed = _integer("seed", self.seed)
+        self.chunk = _integer("chunk", self.chunk)
+        if self.workers is not None:
+            self.workers = _integer("workers", self.workers)
+        if self.min_failures is not None:
+            self.min_failures = _integer("min_failures", self.min_failures)
         if self.shots <= 0:
             raise ValueError("shots must be positive")
         if self.chunk <= 0:
@@ -198,7 +216,7 @@ def _chunk_plan(total_shots: int, chunk: int) -> list[int]:
 
 def resolve_workers(workers: int | None) -> int:
     if workers is not None:
-        return max(1, int(workers))
+        return workers
     raw = os.environ.get("SURFENC_WORKERS", "1")
     if not raw.strip().isdigit() or int(raw) < 1:
         raise ValueError(f"SURFENC_WORKERS must be an integer >= 1, got {raw!r}")
@@ -293,6 +311,9 @@ def write_results_csv(results: list[PointResult], fileobj) -> None:
 
 def read_results_csv(fileobj) -> list[PointResult]:
     reader = csv.DictReader(fileobj)
+    missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"results CSV lacks the columns {missing}")
     out = []
     for row in reader:
         out.append(

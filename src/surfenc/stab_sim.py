@@ -4,11 +4,11 @@ Three independent execution routes over the same circuit IR:
 
 * PauliString.propagate: conjugate a single Pauli through Clifford
   instructions (the oracle used by the fault enumeration tests).
-* TableauSimulator: per-shot Aaronson-Gottesman tableau with destabilizers;
-  supports mid-circuit measurement and reset, noise channels are sampled.
-* BatchTableau: many shots at once.  CX and reset patterns are identical
-  across shots, so the binary part of the tableau is shared and only the
-  per-shot sign bits (plus measurement outcomes) are batched.
+* BatchTableau: Aaronson-Gottesman tableau with destabilizers, many shots
+  at once; supports mid-circuit measurement and reset, noise channels are
+  sampled.  CX and reset patterns are identical across shots, so the
+  binary part of the tableau is shared and only the per-shot sign bits
+  (plus measurement outcomes) are batched.
 * sample_packed_frames: packed, sparse-noise Pauli-frame Monte Carlo;
   returns the accumulated X and Z frame components at the end of the
   circuit, 64 shots per uint64 word.  sample_final_frames unpacks them.
@@ -135,169 +135,17 @@ def _g_sum(x1, z1, x2, z2) -> int:
     )
 
 
-class TableauSimulator:
-    """Single-shot stabilizer simulator (tableau with destabilizers).
-
-    Rows 0..n-1 hold destabilizers, rows n..2n-1 stabilizers.  The initial
-    state is |0...0>.  Noise instructions are sampled with the supplied RNG.
-    """
-
-    def __init__(self, n: int, rng: np.random.Generator | None = None):
-        self.n = n
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros(2 * n, dtype=np.uint8)
-        for q in range(n):
-            self.x[q, q] = 1
-            self.z[n + q, q] = 1
-
-    # -- elementary updates ------------------------------------------------
-
-    def cx(self, c: int, t: int) -> None:
-        self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
-        self.x[:, t] ^= self.x[:, c]
-        self.z[:, c] ^= self.z[:, t]
-
-    def h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
-
-    def apply_x(self, q: int) -> None:
-        self.r ^= self.z[:, q]
-
-    def apply_z(self, q: int) -> None:
-        self.r ^= self.x[:, q]
-
-    def _rowsum(self, h: int, i: int) -> None:
-        g = _g_sum(self.x[i], self.z[i], self.x[h], self.z[h])
-        self.r[h] = ((2 * int(self.r[h]) + 2 * int(self.r[i]) + g) % 4) // 2
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
-
-    def measure_z(self, q: int) -> int:
-        n = self.n
-        stab_hits = np.nonzero(self.x[n:, q])[0]
-        if stab_hits.size:
-            p = n + int(stab_hits[0])
-            for i in range(2 * n):
-                if i != p and self.x[i, q]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, q] = 1
-            outcome = int(self.rng.integers(0, 2))
-            self.r[p] = outcome
-            return outcome
-        # deterministic: accumulate stabilizer rows flagged by destabilizers
-        sx = np.zeros(n, dtype=np.uint8)
-        sz = np.zeros(n, dtype=np.uint8)
-        sr4 = 0
-        for i in range(n):
-            if self.x[i, q]:
-                g = _g_sum(self.x[n + i], self.z[n + i], sx, sz)
-                sr4 = (sr4 + 2 * int(self.r[n + i]) + g) % 4
-                sx ^= self.x[n + i]
-                sz ^= self.z[n + i]
-        return sr4 // 2
-
-    def reset_z(self, q: int) -> None:
-        if self.measure_z(q):
-            self.apply_x(q)
-
-    def reset_x(self, q: int) -> None:
-        self.reset_z(q)
-        self.h(q)
-
-    def measure_x(self, q: int) -> int:
-        self.h(q)
-        outcome = self.measure_z(q)
-        self.h(q)
-        return outcome
-
-    # -- circuit execution ---------------------------------------------------
-
-    def apply_instruction(self, instr: Instruction) -> list[tuple[int, int]]:
-        """Apply one instruction; returns (qubit, outcome) for measurements."""
-        name = instr.name
-        if name == "CX":
-            for c, t in instr.pairs():
-                self.cx(c, t)
-        elif name == "R":
-            for q in instr.targets:
-                self.reset_z(q)
-        elif name == "RX":
-            for q in instr.targets:
-                self.reset_x(q)
-        elif name == "M":
-            return [(q, self.measure_z(q)) for q in instr.targets]
-        elif name == "MX":
-            return [(q, self.measure_x(q)) for q in instr.targets]
-        elif name == "X_ERROR":
-            for q in instr.targets:
-                if self.rng.random() < instr.arg:
-                    self.apply_x(q)
-        elif name == "Z_ERROR":
-            for q in instr.targets:
-                if self.rng.random() < instr.arg:
-                    self.apply_z(q)
-        elif name == "DEPOLARIZE2":
-            for a, b in instr.pairs():
-                if self.rng.random() < instr.arg:
-                    k = int(self.rng.integers(1, 16))
-                    if (k >> 3) & 1:
-                        self.apply_x(a)
-                    if (k >> 2) & 1:
-                        self.apply_z(a)
-                    if (k >> 1) & 1:
-                        self.apply_x(b)
-                    if k & 1:
-                        self.apply_z(b)
-        else:
-            raise ValueError(f"unsupported instruction {name}")
-        return []
-
-    def run_circuit(self, circuit: Circuit) -> list[tuple[int, int]]:
-        if circuit.n_qubits != self.n:
-            raise ValueError("circuit qubit count does not match simulator")
-        records: list[tuple[int, int]] = []
-        for _, instr in circuit.instructions():
-            records.extend(self.apply_instruction(instr))
-        return records
-
-    def expectation(self, pauli: PauliString):
-        """Expectation of a Pauli observable: +1, -1, or None if random."""
-        n = self.n
-        px = np.array([(pauli.x >> q) & 1 for q in range(n)], dtype=np.uint8)
-        pz = np.array([(pauli.z >> q) & 1 for q in range(n)], dtype=np.uint8)
-        anti = ((self.x & pz) ^ (self.z & px)).sum(axis=1) % 2
-        if anti[n:].any():
-            return None
-        sx = np.zeros(n, dtype=np.uint8)
-        sz = np.zeros(n, dtype=np.uint8)
-        sr4 = 0
-        for i in range(n):
-            if anti[i]:
-                g = _g_sum(self.x[n + i], self.z[n + i], sx, sz)
-                sr4 = (sr4 + 2 * int(self.r[n + i]) + g) % 4
-                sx ^= self.x[n + i]
-                sz ^= self.z[n + i]
-        if not (np.array_equal(sx, px) and np.array_equal(sz, pz)):
-            raise ValueError("observable is not in the stabilizer group span")
-        return 1 if sr4 == 0 else -1
-
-
 class BatchTableau:
-    """Tableau simulation of many shots of one circuit.
+    """Aaronson-Gottesman tableau (with destabilizers) for many shots of one circuit.
 
-    The circuit's Clifford structure (CX, resets, measurement pattern) is
-    the same in every shot; only Pauli noise and measurement outcomes vary.
-    Pauli gates and outcome randomness touch sign bits alone, so the binary
-    tableau is stored once while signs are per shot: r has shape
-    (shots, 2n).  All updates reproduce TableauSimulator exactly.
+    Rows 0..n-1 hold destabilizers, rows n..2n-1 stabilizers; the initial
+    state is |0...0>.  The circuit's Clifford structure (CX, resets,
+    measurement pattern) is the same in every shot; only Pauli noise and
+    measurement outcomes vary.  Pauli gates and outcome randomness touch
+    sign bits alone, so the binary tableau is stored once while signs are
+    per shot: r has shape (shots, 2n).  Whether an outcome or observable is
+    random depends on the binary part only, so it is the same for every
+    shot.  A single shot is BatchTableau(n, 1, rng).
     """
 
     def __init__(self, n: int, shots: int, rng: np.random.Generator):
@@ -310,7 +158,6 @@ class BatchTableau:
         for q in range(n):
             self.x[q, q] = 1
             self.z[n + q, q] = 1
-        self.measurements: list[tuple[int, np.ndarray]] = []
 
     def cx(self, c: int, t: int) -> None:
         v = self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
@@ -327,6 +174,20 @@ class BatchTableau:
 
     def apply_z_masked(self, q: int, mask: np.ndarray) -> None:
         self.r ^= mask[:, None] & self.x[:, q][None, :]
+
+    def _stabilizer_product(self, flags) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X bits, Z bits and per-shot sign bit of the product of the
+        stabilizer rows n + i for every i with flags[i] set."""
+        n = self.n
+        sx = np.zeros(n, dtype=np.uint8)
+        sz = np.zeros(n, dtype=np.uint8)
+        sr4 = np.zeros(self.shots, dtype=np.int16)
+        for i in np.flatnonzero(flags):
+            g = _g_sum(self.x[n + i], self.z[n + i], sx, sz)
+            sr4 = (sr4 + 2 * self.r[:, n + i].astype(np.int16) + g) % 4
+            sx ^= self.x[n + i]
+            sz ^= self.z[n + i]
+        return sx, sz, (sr4 // 2).astype(np.uint8)
 
     def measure_z(self, q: int) -> np.ndarray:
         n = self.n
@@ -352,16 +213,8 @@ class BatchTableau:
             outcome = self.rng.integers(0, 2, self.shots, dtype=np.uint8)
             self.r[:, p] = outcome
             return outcome
-        sx = np.zeros(n, dtype=np.uint8)
-        sz = np.zeros(n, dtype=np.uint8)
-        sr4 = np.zeros(self.shots, dtype=np.int16)
-        for i in range(n):
-            if self.x[i, q]:
-                g = _g_sum(self.x[n + i], self.z[n + i], sx, sz)
-                sr4 = (sr4 + 2 * self.r[:, n + i].astype(np.int16) + g) % 4
-                sx ^= self.x[n + i]
-                sz ^= self.z[n + i]
-        return (sr4 // 2).astype(np.uint8)
+        # deterministic: destabilizers flag the stabilizer rows whose product is +-Z_q
+        return self._stabilizer_product(self.x[:n, q])[2]
 
     def reset_z(self, q: int) -> None:
         self.apply_x_masked(q, self.measure_z(q))
@@ -376,7 +229,8 @@ class BatchTableau:
         self.h(q)
         return outcome
 
-    def apply_instruction(self, instr: Instruction) -> None:
+    def apply_instruction(self, instr: Instruction) -> list[tuple[int, np.ndarray]]:
+        """Apply one instruction; returns (qubit, per-shot outcomes) for measurements."""
         name = instr.name
         if name == "CX":
             for c, t in instr.pairs():
@@ -388,11 +242,9 @@ class BatchTableau:
             for q in instr.targets:
                 self.reset_x(q)
         elif name == "M":
-            for q in instr.targets:
-                self.measurements.append((q, self.measure_z(q)))
+            return [(q, self.measure_z(q)) for q in instr.targets]
         elif name == "MX":
-            for q in instr.targets:
-                self.measurements.append((q, self.measure_x(q)))
+            return [(q, self.measure_x(q)) for q in instr.targets]
         elif name == "X_ERROR":
             for q in instr.targets:
                 mask = (self.rng.random(self.shots) < instr.arg).astype(np.uint8)
@@ -411,33 +263,29 @@ class BatchTableau:
                 self.apply_z_masked(b, (mask & ((k & 1) == 1)).astype(np.uint8))
         else:
             raise ValueError(f"unsupported instruction {name}")
+        return []
 
-    def run_circuit(self, circuit: Circuit) -> None:
+    def run_circuit(self, circuit: Circuit) -> list[tuple[int, np.ndarray]]:
+        """Run every instruction; returns the measurement records in order."""
         if circuit.n_qubits != self.n:
             raise ValueError("circuit qubit count does not match simulator")
+        records: list[tuple[int, np.ndarray]] = []
         for _, instr in circuit.instructions():
-            self.apply_instruction(instr)
+            records.extend(self.apply_instruction(instr))
+        return records
 
-    def expectation(self, pauli: PauliString) -> np.ndarray:
-        """Per-shot expectation (+1/-1 int8).  Raises if the value is random."""
+    def expectation(self, pauli: PauliString) -> np.ndarray | None:
+        """Per-shot expectation (+1/-1 int8), or None if the value is random."""
         n = self.n
         px = np.array([(pauli.x >> q) & 1 for q in range(n)], dtype=np.uint8)
         pz = np.array([(pauli.z >> q) & 1 for q in range(n)], dtype=np.uint8)
         anti = ((self.x & pz) ^ (self.z & px)).sum(axis=1) % 2
         if anti[n:].any():
-            raise ValueError("observable anticommutes with a stabilizer")
-        sx = np.zeros(n, dtype=np.uint8)
-        sz = np.zeros(n, dtype=np.uint8)
-        sr4 = np.zeros(self.shots, dtype=np.int16)
-        for i in range(n):
-            if anti[i]:
-                g = _g_sum(self.x[n + i], self.z[n + i], sx, sz)
-                sr4 = (sr4 + 2 * self.r[:, n + i].astype(np.int16) + g) % 4
-                sx ^= self.x[n + i]
-                sz ^= self.z[n + i]
+            return None
+        sx, sz, sign = self._stabilizer_product(anti[:n])
         if not (np.array_equal(sx, px) and np.array_equal(sz, pz)):
             raise ValueError("observable is not in the stabilizer group span")
-        return np.where(sr4 == 0, 1, -1).astype(np.int8)
+        return 1 - 2 * sign.astype(np.int8)
 
 
 def _sample_hits(

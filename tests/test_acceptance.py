@@ -20,7 +20,7 @@ from surfenc.harness import (
     run_experiment,
     write_results_csv,
 )
-from surfenc.stab_sim import BatchTableau, PauliString, TableauSimulator, sample_final_frames
+from surfenc.stab_sim import BatchTableau, PauliString, sample_final_frames
 
 CNOT_FORMULAS = {
     ("rotated", Scheme.UE): lambda d: (3 * (d - 1) // 2 + 1) * (d - 1),
@@ -82,7 +82,7 @@ def test_03_noiseless_circuits_prepare_the_encoded_state():
             for scheme in Scheme:
                 for target in Target:
                     circ = generate_circuit(variant, d, scheme, target, 0.0)
-                    sim = TableauSimulator(circ.n_qubits, np.random.default_rng(0))
+                    sim = BatchTableau(circ.n_qubits, 1, np.random.default_rng(0))
                     outcome = dict(sim.run_circuit(circ))
                     measured = "X" if target is Target.ZERO else "Z"
                     n = circ.n_qubits
@@ -196,6 +196,7 @@ def test_07_matching_agrees_with_brute_force_enumeration():
     print(f"PASS decoder vs brute force on {total} random syndromes ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_08_monte_carlo_scheme_ordering_and_distance_scaling(tmp_path):
     # Power: at p=1e-2 with 4e5 shots (seeds 1-3) every point sees 17-4615
     # failures.  ue/me is x2.5-x17, at least 11 sigma past the

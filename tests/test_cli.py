@@ -172,6 +172,30 @@ def test_compare_from_csv(tmp_path, capsys):
     assert main(["compare", str(empty)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["compare", "{tmp}/missing.csv"], "No such file"),
+        (["compare", "{tmp}/no_variant.csv"], "'variant'"),
+        (
+            ["generate", "--variant", "rotated", "-d", "3", "--scheme", "ue",
+             "--out", "{tmp}/no_such_dir/circ.txt"],
+            "No such file",
+        ),
+    ],
+)
+def test_io_errors_end_in_one_line(tmp_path, capsys, argv, needle):
+    (tmp_path / "no_variant.csv").write_text(
+        "scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\nue,zero,3,0.001,100,1,0.01,0.001,0.05\n"
+    )
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("surfenc: error: ")
+    assert needle in lines[0]
+
+
 def test_unknown_command_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -14,7 +14,7 @@ from surfenc.encoders import (
     plan_to_circuit,
     scramble_plan,
 )
-from surfenc.stab_sim import PauliString, TableauSimulator
+from surfenc.stab_sim import BatchTableau, PauliString
 
 
 def _find_gadget(plan, support):
@@ -139,7 +139,7 @@ def test_uea_brackets_each_fan_with_ancilla_gates():
 def _assert_encodes(variant, d, scheme, target):
     code = build_code(variant, d)
     circ = generate_circuit(variant, d, scheme, target, 0.0)
-    sim = TableauSimulator(circ.n_qubits, np.random.default_rng(0))
+    sim = BatchTableau(circ.n_qubits, 1, np.random.default_rng(0))
     records = sim.run_circuit(circ)
     outcome = {q: bit for q, bit in records}
     n = circ.n_qubits
@@ -171,7 +171,7 @@ def test_noiseless_encoding_d5_spot():
 def test_uea_ancillas_disentangled_at_end():
     code = build_code(CodeVariant.ROTATED, 3)
     circ = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UEA, Target.ZERO, 0.0)
-    sim = TableauSimulator(circ.n_qubits, np.random.default_rng(0))
+    sim = BatchTableau(circ.n_qubits, 1, np.random.default_rng(0))
     sim.run_circuit(circ)
     for check in code.x_checks:
         z_anc = PauliString.from_support(circ.n_qubits, [check.ancilla], "Z")
@@ -206,7 +206,7 @@ def test_scrambled_circuit_still_encodes_noiselessly():
     code = build_code(CodeVariant.ROTATED, 3)
     plan = scramble_plan(build_plan(code, Scheme.UE, Target.ZERO))
     circ = plan_to_circuit(plan, 0.0)
-    sim = TableauSimulator(circ.n_qubits, np.random.default_rng(0))
+    sim = BatchTableau(circ.n_qubits, 1, np.random.default_rng(0))
     sim.run_circuit(circ)
     for check in code.x_checks + code.z_checks:
         pauli = PauliString.from_support(circ.n_qubits, check.support, check.kind)

@@ -1,5 +1,7 @@
 """Fault enumeration: reverse images vs forward propagation, hooks, reports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,14 @@ def test_analyze_faults_rejects_decoder_for_other_target():
         decoder=SyndromeDecoder(code, "plus"),
     )
     assert report.analysis == "complementary"
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's "Library" snippet passes target and scheme as strings
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(snippet, {})
+    assert "no failures" in capsys.readouterr().out
 
 
 def test_analyze_faults_rejects_bad_weight():

@@ -81,6 +81,16 @@ def test_config_validation_and_roundtrip():
         ("min_failures", 0),
         ("min_failures", -1),
         ("workers", 0),
+        ("seed", 1.5),
+        ("seed", True),
+        ("shots", 1.5),
+        ("shots", True),
+        ("shots", 1e6),
+        ("chunk", 4096.0),
+        ("workers", 2.0),
+        ("min_failures", 1.5),
+        ("distances", (3.7,)),
+        ("distances", (3, "5")),
     ],
 )
 def test_config_rejects_out_of_range_value(field, value):

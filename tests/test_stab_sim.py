@@ -1,4 +1,4 @@
-"""Simulator cross-checks: Pauli algebra, tableau, batch tableau, frames."""
+"""Simulator cross-checks: Pauli algebra, tableau against a dense state vector, frames."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from surfenc.circuit_ir import Circuit, Instruction
 from surfenc.stab_sim import (
     BatchTableau,
     PauliString,
-    TableauSimulator,
     sample_final_frames,
     sample_packed_frames,
 )
@@ -78,7 +77,7 @@ def test_pauli_propagate_matches_frame_sim():
 
 
 def test_tableau_bell_pair():
-    sim = TableauSimulator(2, np.random.default_rng(0))
+    sim = BatchTableau(2, 1, np.random.default_rng(0))
     sim.h(0)
     sim.cx(0, 1)
     assert sim.expectation(PauliString.from_label("XX")) == 1
@@ -91,36 +90,32 @@ def test_tableau_bell_pair():
 
 
 def test_tableau_ghz_statistics():
-    rng = np.random.default_rng(1)
-    ones = 0
-    for _ in range(300):
-        sim = TableauSimulator(3, rng)
-        sim.h(0)
-        sim.cx(0, 1)
-        sim.cx(1, 2)
-        bits = [sim.measure_z(q) for q in range(3)]
-        assert len(set(bits)) == 1
-        ones += bits[0]
-    assert 90 < ones < 210  # fair coin, 300 tries
+    sim = BatchTableau(3, 300, np.random.default_rng(1))
+    sim.h(0)
+    sim.cx(0, 1)
+    sim.cx(1, 2)
+    bits = [sim.measure_z(q) for q in range(3)]
+    assert (bits[0] == bits[1]).all() and (bits[1] == bits[2]).all()
+    assert 90 < bits[0].sum() < 210  # fair coin, 300 tries
 
 
 def test_tableau_resets_and_x_basis():
-    sim = TableauSimulator(1, np.random.default_rng(2))
+    sim = BatchTableau(1, 1, np.random.default_rng(2))
     sim.h(0)
     sim.reset_z(0)
     assert sim.measure_z(0) == 0
     sim.reset_x(0)
     assert sim.expectation(PauliString.from_label("X")) == 1
     assert sim.measure_x(0) == 0
-    sim.apply_z(0)
+    sim.apply_z_masked(0, np.ones(1, dtype=np.uint8))
     assert sim.measure_x(0) == 1
 
 
 def test_tableau_pauli_sign_flips():
-    sim = TableauSimulator(2, np.random.default_rng(3))
+    sim = BatchTableau(2, 1, np.random.default_rng(3))
     sim.h(0)
     sim.cx(0, 1)
-    sim.apply_x(1)
+    sim.apply_x_masked(1, np.ones(1, dtype=np.uint8))
     assert sim.expectation(PauliString.from_label("ZZ")) == -1
     assert sim.expectation(PauliString.from_label("XX")) == 1
 
@@ -133,38 +128,18 @@ def test_tableau_noise_sampling_extremes():
             [Instruction("M", (0, 1))],
         ],
     )
-    sim = TableauSimulator(2, np.random.default_rng(4))
+    sim = BatchTableau(2, 1, np.random.default_rng(4))
     records = sim.run_circuit(circ)
-    assert [bit for _, bit in records] == [1, 1]
+    assert [bits.tolist() for _, bits in records] == [[1], [1]]
 
 
 def test_tableau_depolarize_statistics():
     # marginal flip probability of each qubit under full depolarizing is 12/15
-    rng = np.random.default_rng(6)
-    flips = 0
     n_shots = 400
-    for _ in range(n_shots):
-        sim = TableauSimulator(2, rng)
-        sim.apply_instruction(Instruction("DEPOLARIZE2", (0, 1), 1.0))
-        flips += sim.measure_z(0)
+    sim = BatchTableau(2, n_shots, np.random.default_rng(6))
+    sim.apply_instruction(Instruction("DEPOLARIZE2", (0, 1), 1.0))
+    flips = int(sim.measure_z(0).sum())
     assert abs(flips / n_shots - 8 / 15) < 0.1  # X or Y on first qubit: 8/15
-
-
-def test_batch_matches_single_shot_on_deterministic_circuit():
-    layers = [
-        [Instruction("RX", (0,)), Instruction("R", (1, 2))],
-        [Instruction("CX", (0, 1))],
-        [Instruction("CX", (1, 2)), Instruction("X_ERROR", (2,), 1.0)],
-    ]
-    circ = Circuit(3, layers)
-    single = TableauSimulator(3, np.random.default_rng(0))
-    single.run_circuit(circ)
-    batch = BatchTableau(3, 5, np.random.default_rng(0))
-    batch.run_circuit(circ)
-    for label in ("XXX", "ZZI", "IZZ"):
-        want = single.expectation(PauliString.from_label(label))
-        got = batch.expectation(PauliString.from_label(label))
-        assert (got == want).all(), label
 
 
 def test_batch_measurement_correlations():
@@ -176,10 +151,134 @@ def test_batch_measurement_correlations():
         [Instruction("M", (0, 1, 2))],
     ]
     batch = BatchTableau(3, 64, np.random.default_rng(9))
-    batch.run_circuit(Circuit(3, layers))
-    bits = {q: v for q, v in batch.measurements}
+    bits = dict(batch.run_circuit(Circuit(3, layers)))
     assert (bits[0] == bits[1]).all() and (bits[1] == bits[2]).all()
     assert 0 < bits[0].sum() < 64  # both outcomes occur
+
+
+# -- dense state-vector reference for the tableau, n <= 4 ---------------------
+# Amplitude j is the basis state with qubit q in bit q of j, the same bit
+# order as PauliString's masks.
+
+_GATES = ("CX", "H", "R", "RX", "M", "MX", "X_ERROR", "Z_ERROR")
+# CX and H are four times as likely as each other gate, so that stabilizers
+# with Y factors build up between the measurements and resets that undo them
+_WEIGHTS = np.array([4, 4, 1, 1, 1, 1, 1, 1])
+
+
+def _random_program(n, length, rng):
+    first = 0 if n > 1 else 1  # no CX on one qubit
+    weights = _WEIGHTS[first:] / _WEIGHTS[first:].sum()
+    program = []
+    for _ in range(length):
+        name = _GATES[first + rng.choice(len(weights), p=weights)]
+        k = 2 if name == "CX" else 1
+        program.append((name, tuple(int(q) for q in rng.choice(n, k, replace=False))))
+    return program
+
+
+def _run_tableau(n, program, shots, rng):
+    sim = BatchTableau(n, shots, rng)
+    records = []
+    for name, targets in program:
+        if name == "H":
+            sim.h(targets[0])
+        else:
+            arg = 1.0 if name.endswith("_ERROR") else None
+            records += sim.apply_instruction(Instruction(name, targets, arg))
+    return sim, records
+
+
+def _sv_gate(psi, name, targets):
+    j = np.arange(psi.size)
+    q = targets[0]
+    bit = (j >> q) & 1
+    if name == "CX":
+        return psi[j ^ (bit << targets[1])]
+    if name == "H":
+        return (psi[j ^ (1 << q)] + np.where(bit, -psi, psi)) / np.sqrt(2)
+    if name == "X_ERROR":
+        return psi[j ^ (1 << q)]
+    if name == "Z_ERROR":
+        return np.where(bit, -psi, psi)
+    raise ValueError(name)
+
+
+def _sv_project(psi, q, outcome):
+    """(probability of Z_q = (-1)^outcome, post-selected state)."""
+    keep = ((np.arange(psi.size) >> q) & 1) == outcome
+    prob = float(np.sum(np.abs(psi[keep]) ** 2))
+    return prob, np.where(keep, psi, 0) / np.sqrt(max(prob, 1e-300))
+
+
+def _sv_branches(n, program, outcomes):
+    """Every state the program can leave given one shot's recorded outcomes.
+
+    A reset's outcome is not recorded, so a random reset keeps both branches;
+    a measurement keeps the branches in which the recorded outcome can occur.
+    """
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1
+    branches = [psi]
+    outcomes = iter(outcomes)
+    for name, targets in program:
+        q = targets[0]
+        if name in ("M", "MX", "R", "RX"):
+            want = next(outcomes) if name in ("M", "MX") else None
+            kept = []
+            for psi in branches:
+                if name == "MX":
+                    psi = _sv_gate(psi, "H", targets)
+                for b in (0, 1) if want is None else (want,):
+                    prob, post = _sv_project(psi, q, b)
+                    assert min(abs(prob - v) for v in (0, 0.5, 1)) < 1e-9, prob
+                    if prob < 0.25:
+                        continue
+                    if want is None and b:
+                        post = _sv_gate(post, "X_ERROR", targets)
+                    if name in ("MX", "RX"):
+                        post = _sv_gate(post, "H", targets)
+                    if all(abs(np.vdot(post, other)) < 1 - 1e-9 for other in kept):
+                        kept.append(post)
+            assert kept, f"{name} {q}: the recorded outcome {want} has probability 0"
+            branches = kept
+        else:
+            branches = [_sv_gate(psi, name, targets) for psi in branches]
+    return branches
+
+
+def _sv_expectations(psi):
+    """<psi|P|psi> for every Pauli P = PauliString(n, x, z), indexed [x, z].
+
+    P = i^|x&z| X^x Z^z, so <P> = i^|x&z| sum_j conj(psi[j^x]) (-1)^|j&z| psi[j].
+    """
+    j = np.arange(psi.size)
+    overlap = np.array([[bin(a & b).count("1") for b in j] for a in j])
+    amp = np.conj(psi[j[:, None] ^ j[None, :]]) * psi[None, :]
+    return (1j**overlap * (amp @ ((-1.0) ** overlap).T)).real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shots", [1, 8])
+def test_tableau_matches_dense_state_vector(n, shots):
+    # random CX/H/R/RX/M/MX/X/Z circuits: every recorded outcome has
+    # probability 1/2 or 1 in the state vector, and all 4^n Pauli
+    # expectations agree at the end (a random tableau value is 0)
+    for seed in range(20):
+        rng = np.random.default_rng([n, shots, seed])
+        program = _random_program(n, 12 * n, rng)
+        sim, records = _run_tableau(n, program, shots, rng)
+        got = np.zeros((shots, 2**n, 2**n))
+        for x in range(2**n):
+            for z in range(2**n):
+                e = sim.expectation(PauliString(n, x, z))
+                if e is not None:
+                    got[:, x, z] = e
+        for s in range(shots):
+            branches = _sv_branches(n, program, [int(bits[s]) for _, bits in records])
+            assert any(
+                np.allclose(_sv_expectations(psi), got[s], atol=1e-9) for psi in branches
+            ), (n, shots, seed, s, program)
 
 
 def test_frame_depolarize_is_uniform_over_fifteen():
