@@ -155,14 +155,15 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_simulate(args) -> int:
     try:
         config = _load_config(args)
+        # open the output first: a bad path must not cost a whole run
+        out = open(args.csv, "w") if args.csv else sys.stdout
     except (OSError, ValueError, TypeError) as exc:
         return _error(exc)
-    results = run_experiment(config)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            write_results_csv(results, fh)
-    else:
-        write_results_csv(results, sys.stdout)
+    try:
+        write_results_csv(run_experiment(config), out)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return 0
 
 

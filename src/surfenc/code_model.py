@@ -86,10 +86,6 @@ class SurfaceCode:
     def n_data(self) -> int:
         return len(self.data_ids)
 
-    def coord(self, qubit_id: int) -> tuple[int, int]:
-        q = self.qubits[qubit_id]
-        return (q.row, q.col)
-
     def checks(self, kind: str) -> tuple[StabilizerCheck, ...]:
         if kind == "X":
             return self.x_checks
@@ -245,46 +241,3 @@ def _grouped(code: SurfaceCode, checks) -> list[list[StabilizerCheck]]:
         groups.append(group)
     return groups
 
-
-def code_to_json_dict(code: SurfaceCode) -> dict:
-    return {
-        "variant": code.variant.value,
-        "d": code.d,
-        "qubits": [
-            {"id": q.id, "role": q.role.value, "row": q.row, "col": q.col}
-            for q in code.qubits
-        ],
-        "x_checks": [_check_dict(c) for c in code.x_checks],
-        "z_checks": [_check_dict(c) for c in code.z_checks],
-        "logical_x": list(code.logical_x),
-        "logical_z": list(code.logical_z),
-    }
-
-
-def _check_dict(check: StabilizerCheck) -> dict:
-    return {
-        "kind": check.kind,
-        "support": list(check.support),
-        "ancilla": check.ancilla,
-        "row_index": check.row_index,
-    }
-
-
-def code_from_json_dict(payload: dict) -> SurfaceCode:
-    def check(entry: dict) -> StabilizerCheck:
-        return StabilizerCheck(
-            entry["kind"], tuple(entry["support"]), entry["ancilla"], entry["row_index"]
-        )
-
-    return SurfaceCode(
-        variant=CodeVariant(payload["variant"]),
-        d=payload["d"],
-        qubits=tuple(
-            Qubit(q["id"], QubitRole(q["role"]), q["row"], q["col"])
-            for q in payload["qubits"]
-        ),
-        x_checks=tuple(check(c) for c in payload["x_checks"]),
-        z_checks=tuple(check(c) for c in payload["z_checks"]),
-        logical_x=tuple(payload["logical_x"]),
-        logical_z=tuple(payload["logical_z"]),
-    )

@@ -7,14 +7,18 @@ component (X or Z) read.  Syndromes are Python ints of any width.
 
 The matching graph has one node per detecting check plus a single boundary
 node; every data qubit contributes exactly one edge, between the checks that
-contain it (or to the boundary when only one does).  Distances and
-deterministic shortest paths come from breadth-first search.
+contain it (or to the boundary when only one does).  Breadth-first search
+from every node fills one path table: paths[a][b] is the data-qubit mask of
+one deterministic shortest a-b path, and distances are its popcounts.
 
 Decoding pairs up syndrome defects (and optionally the boundary) with exact
 minimum total distance: a subset dynamic program up to 14 defects, blossom
-matching on a twin-node reduction above that.  match_defects_bruteforce
-re-solves the same problem by enumerating every pairing and exists purely as
-an independent cross-check; nothing in the decode path calls it.
+matching on a twin-node reduction above that.  The correction is the XOR of
+the matched pairs' path masks.  Callers ask one question of it, whether it
+flips the protected logical, so SyndromeDecoder.decode_syndrome returns and
+caches that parity bit per syndrome.  match_defects_bruteforce re-solves the
+matching by enumerating every pairing and exists purely as an independent
+cross-check; nothing in the decode path calls it.
 """
 
 from __future__ import annotations
@@ -92,17 +96,14 @@ class CheckMatrix:
 
 
 class MatchingGraph:
-    def __init__(self, code: SurfaceCode, check_kind: str):
-        if check_kind not in ("X", "Z"):
-            raise ValueError(f"check kind must be 'X' or 'Z', got {check_kind!r}")
-        self.code = code
-        self.matrix = CheckMatrix.of(code, "zero" if check_kind == "Z" else "plus")
-        self.checks = self.matrix.checks
-        m = len(self.checks)
+    """Path table over a CheckMatrix's checks; node len(checks) is the boundary."""
+
+    def __init__(self, code: SurfaceCode, matrix: CheckMatrix):
+        m = len(matrix.checks)
         self.boundary = m
 
         containing: dict[int, list[int]] = {}
-        for i, c in enumerate(self.checks):
+        for i, c in enumerate(matrix.checks):
             for q in c.support:
                 containing.setdefault(q, []).append(i)
 
@@ -112,7 +113,7 @@ class MatchingGraph:
             hits = containing.get(q, [])
             if not 1 <= len(hits) <= 2:
                 raise ValueError(
-                    f"data qubit {q} lies in {len(hits)} {check_kind} checks"
+                    f"data qubit {q} lies in {len(hits)} {matrix.kind} checks"
                 )
             u, v = (hits[0], self.boundary) if len(hits) == 1 else (hits[0], hits[1])
             key = (min(u, v), max(u, v))
@@ -125,47 +126,28 @@ class MatchingGraph:
             adj[v].append((u, q))
         for nbrs in adj:
             nbrs.sort()
-        self._adj = adj
 
-        # all-pairs BFS with parent edges for path reconstruction
-        n_nodes = m + 1
-        self.dist = [[-1] * n_nodes for _ in range(n_nodes)]
-        self._parent: list[list[tuple[int, int] | None]] = []
-        for src in range(n_nodes):
-            dist = self.dist[src]
-            parent: list[tuple[int, int] | None] = [None] * n_nodes
-            dist[src] = 0
+        self.paths: list[list[int]] = []
+        for src in range(m + 1):
+            path: list[int | None] = [None] * (m + 1)
+            path[src] = 0
             frontier = [src]
             while frontier:
                 nxt = []
                 for u in frontier:
                     for v, q in adj[u]:
-                        if dist[v] == -1:
-                            dist[v] = dist[u] + 1
-                            parent[v] = (u, q)
+                        if path[v] is None:
+                            path[v] = path[u] ^ 1 << q
                             nxt.append(v)
                 frontier = nxt
-            if any(x == -1 for x in dist):
+            if None in path:
                 raise ValueError("matching graph is disconnected")
-            self._parent.append(parent)
-
-    def path_mask(self, src: int, dst: int) -> int:
-        """Data qubits (as a bitmask) along one shortest src-dst path."""
-        mask = 0
-        parent = self._parent[src]
-        node = dst
-        while node != src:
-            prev, q = parent[node]
-            mask ^= 1 << q
-            node = prev
-        return mask
-
-    def syndrome_of(self, error_mask: int) -> int:
-        return self.matrix.syndrome(error_mask)
+            self.paths.append(path)
+        self.dist = [[p.bit_count() for p in row] for row in self.paths]
 
     def decode(self, syndrome: int) -> tuple[int, int]:
         """Minimum-weight correction for a syndrome: (data mask, weight)."""
-        defects = [i for i in range(len(self.checks)) if (syndrome >> i) & 1]
+        defects = [i for i in range(self.boundary) if (syndrome >> i) & 1]
         k = len(defects)
         if k == 0:
             return 0, 0
@@ -177,9 +159,7 @@ class MatchingGraph:
             pairs, weight = _match_blossom(dd, bd)
         mask = 0
         for i, j in pairs:
-            a = defects[i]
-            b = self.boundary if j is None else defects[j]
-            mask ^= self.path_mask(a, b)
+            mask ^= self.paths[defects[i]][self.boundary if j is None else defects[j]]
         return mask, weight
 
 
@@ -262,34 +242,28 @@ class SyndromeDecoder:
     """Caching decoder bound to a code and a protected preparation target.
 
     The target's CheckMatrix says which checks flag which errors; the
-    matching graph is built on those checks.  Corrections and their logical
-    parities are cached per syndrome, so repeated syndromes decode once.
+    matching graph is built on those checks.  Each syndrome's answer, the
+    protected-logical parity of its correction, is cached, so repeated
+    syndromes decode once.
     """
 
     code: SurfaceCode
     target: str
     graph: MatchingGraph = field(init=False)
     matrix: CheckMatrix = field(init=False)
-    _cache: dict[int, tuple[int, int]] = field(init=False, default_factory=dict)
+    _cache: dict[int, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.matrix = CheckMatrix.of(self.code, self.target)
-        self.graph = MatchingGraph(self.code, self.matrix.kind)
+        self.graph = MatchingGraph(self.code, self.matrix)
 
-    def decode_syndrome(self, syndrome: int) -> tuple[int, int]:
-        """(correction mask, correction's protected-logical parity)."""
-        hit = self._cache.get(syndrome)
-        if hit is None:
+    def decode_syndrome(self, syndrome: int) -> int:
+        """The protected-logical parity of the syndrome's correction."""
+        parity = self._cache.get(syndrome)
+        if parity is None:
             mask, _ = self.graph.decode(syndrome)
-            hit = (mask, self.matrix.logical_parity(mask))
-            self._cache[syndrome] = hit
-        return hit
-
-    def syndrome_of(self, error_mask: int) -> int:
-        return self.matrix.syndrome(error_mask)
-
-    def error_logical_parity(self, error_mask: int) -> int:
-        return self.matrix.logical_parity(error_mask)
+            parity = self._cache[syndrome] = self.matrix.logical_parity(mask)
+        return parity
 
     def is_logical_failure(self, error_mask: int) -> bool:
         """Decode, correct, and test the residual against the logical.
@@ -297,8 +271,8 @@ class SyndromeDecoder:
         Raises if the correction fails to clear the syndrome (it cannot, by
         construction, unless the error mask touches non-data qubits).
         """
-        correction, _ = self.decode_syndrome(self.syndrome_of(error_mask))
+        correction, _ = self.graph.decode(self.matrix.syndrome(error_mask))
         residual = error_mask ^ correction
-        if self.syndrome_of(residual) != 0:
+        if self.matrix.syndrome(residual) != 0:
             raise ValueError("correction did not clear the syndrome")
-        return self.error_logical_parity(residual) == 1
+        return self.matrix.logical_parity(residual) == 1

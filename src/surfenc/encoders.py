@@ -31,7 +31,6 @@ from enum import Enum
 from .circuit_ir import Circuit, Instruction
 from .code_model import (
     CodeVariant,
-    QubitRole,
     StabilizerCheck,
     SurfaceCode,
     build_code,

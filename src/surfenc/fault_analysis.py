@@ -188,7 +188,7 @@ def analyze_faults(
         lpar[i] = matrix.logical_parity(res)
         site_ids[i] = f.site.index
     uniq = list(index)
-    corr = np.array([decoder.decode_syndrome(s)[1] for s in uniq], dtype=np.uint8)
+    corr = np.array([decoder.decode_syndrome(s) for s in uniq], dtype=np.uint8)
 
     failing: list[tuple[str, ...]] = []
     for i in np.flatnonzero(lpar ^ corr[inv]):
@@ -200,7 +200,7 @@ def analyze_faults(
         table = np.empty((len(uniq), len(uniq)), dtype=np.uint8)
         for a, sa in enumerate(uniq):
             for b in range(a, len(uniq)):
-                table[a, b] = table[b, a] = decoder.decode_syndrome(sa ^ uniq[b])[1]
+                table[a, b] = table[b, a] = decoder.decode_syndrome(sa ^ uniq[b])
         fail = (lpar[:, None] ^ lpar[None, :] ^ table[inv[:, None], inv[None, :]]).view(bool)
         fail &= site_ids[:, None] != site_ids[None, :]
         for i, j in zip(*np.nonzero(np.triu(fail, k=1))):

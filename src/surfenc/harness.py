@@ -15,8 +15,10 @@ count shots whose corrected residual flips the protected logical.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import multiprocessing
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field, asdict
@@ -58,6 +60,13 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """value as a float; bools, strings and other non-reals raise ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     variant: str = "rotated"
@@ -73,7 +82,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.distances = tuple(_integer("distances", d) for d in self.distances)
-        self.noise_strengths = tuple(float(p) for p in self.noise_strengths)
+        self.noise_strengths = tuple(_real("noise_strengths", p) for p in self.noise_strengths)
         self.shots = _integer("shots", self.shots)
         self.seed = _integer("seed", self.seed)
         self.chunk = _integer("chunk", self.chunk)
@@ -182,25 +191,17 @@ class _PointEngine:
         corr_lpar = np.empty(len(uniq), dtype=bool)
         for i, row in enumerate(uniq):
             syndrome = int.from_bytes(row.tobytes(), "little")
-            _, lp = self.decoder.decode_syndrome(syndrome)
-            corr_lpar[i] = lp
+            corr_lpar[i] = self.decoder.decode_syndrome(syndrome)
         return failures + int((lpar[shot_idx] ^ corr_lpar[inv]).sum())
 
 
-_ENGINE_CACHE: dict[tuple, _PointEngine] = {}
-
-
-def _get_engine(key: tuple) -> _PointEngine:
-    engine = _ENGINE_CACHE.get(key)
-    if engine is None:
-        engine = _PointEngine(*key)
-        _ENGINE_CACHE[key] = engine
-    return engine
+# a run visits its points in order, so a few engines serve all its chunks
+_engine = functools.lru_cache(maxsize=4)(_PointEngine)
 
 
 def _chunk_task(task: tuple) -> int:
     variant, scheme, target, d, p, seed, point_index, chunk_id, shots = task
-    engine = _get_engine((variant, scheme, target, d, p))
+    engine = _engine(variant, scheme, target, d, p)
     rng = chunk_rng(seed, point_index, chunk_id)
     return engine.count_chunk_failures(shots, rng)
 

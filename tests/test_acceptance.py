@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from surfenc.code_model import CodeVariant, build_code
-from surfenc.decoder import MatchingGraph, SyndromeDecoder, match_defects_bruteforce
+from surfenc.decoder import (
+    CheckMatrix, MatchingGraph, SyndromeDecoder, match_defects_bruteforce,
+)
 from surfenc.encoders import Scheme, Target, build_plan, generate_circuit
 from surfenc.fault_analysis import analyze_faults, hook_catalogue
 from surfenc.harness import (
@@ -175,9 +177,10 @@ def test_07_matching_agrees_with_brute_force_enumeration():
     for variant in CodeVariant:
         for d in (3, 5, 7):
             code = build_code(variant, d)
-            for kind in ("X", "Z"):
-                graph = MatchingGraph(code, kind)
-                m = len(graph.checks)
+            for target in ("plus", "zero"):
+                matrix = CheckMatrix.of(code, target)
+                graph = MatchingGraph(code, matrix)
+                m = graph.boundary
                 for _ in range(84):
                     k = int(rng.integers(1, min(10, m) + 1))
                     defects = sorted(rng.choice(m, size=k, replace=False).tolist())
@@ -185,9 +188,9 @@ def test_07_matching_agrees_with_brute_force_enumeration():
                     for i in defects:
                         syndrome |= 1 << i
                     mask, weight = graph.decode(syndrome)
-                    assert graph.syndrome_of(mask) == syndrome
+                    assert matrix.syndrome(mask) == syndrome
                     assert weight == match_defects_bruteforce(graph, defects), (
-                        variant, d, kind, defects,
+                        variant, d, target, defects,
                     )
                     total += 1
     elapsed = time.monotonic() - start
@@ -312,7 +315,7 @@ def _tableau_failures(circ, code, dec, shots, seed):
     flipped = zl == -1
     failures = 0
     for value in np.unique(syn):
-        _, corr_par = dec.decode_syndrome(int(value))
+        corr_par = dec.decode_syndrome(int(value))
         sel = syn == value
         failures += int((flipped[sel] ^ bool(corr_par)).sum())
     return failures

@@ -182,6 +182,11 @@ def test_compare_from_csv(tmp_path, capsys):
              "--out", "{tmp}/no_such_dir/circ.txt"],
             "No such file",
         ),
+        (
+            ["simulate", "--distances", "3", "--noise-strengths", "0.01",
+             "--shots", "1000", "--csv", "{tmp}/no_such_dir/out.csv"],
+            "No such file",
+        ),
     ],
 )
 def test_io_errors_end_in_one_line(tmp_path, capsys, argv, needle):

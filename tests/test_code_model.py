@@ -9,8 +9,6 @@ from surfenc.code_model import (
     QubitRole,
     build_code,
     check_commutation,
-    code_from_json_dict,
-    code_to_json_dict,
     x_check_rows,
     z_check_columns,
 )
@@ -142,13 +140,6 @@ def test_coords_unique_and_nonnegative():
         assert all(r >= 0 and c >= 0 for r, c in coords)
         data_roles = [q for q in code.qubits if q.role is QubitRole.DATA]
         assert [q.id for q in data_roles] == list(range(code.n_data))
-
-
-def test_json_roundtrip():
-    code = build_code(CodeVariant.UNROTATED, 5)
-    payload = code_to_json_dict(code)
-    back = code_from_json_dict(payload)
-    assert back == code
 
 
 @pytest.mark.parametrize("d", (2, 4, 1, 0, -3))

@@ -22,16 +22,21 @@ def _random_error(rng, data_ids, weight):
     return mask
 
 
+def _graph(code, target):
+    matrix = CheckMatrix.of(code, target)
+    return matrix, MatchingGraph(code, matrix)
+
+
 def test_single_errors_decode_to_weight_one():
     for variant in CodeVariant:
         code = build_code(variant, 5)
-        for kind in ("X", "Z"):
-            graph = MatchingGraph(code, kind)
+        for target in ("plus", "zero"):
+            matrix, graph = _graph(code, target)
             for q in code.data_ids:
-                syn = graph.syndrome_of(1 << q)
+                syn = matrix.syndrome(1 << q)
                 mask, weight = graph.decode(syn)
                 assert weight == 1
-                assert graph.syndrome_of(mask) == syn
+                assert matrix.syndrome(mask) == syn
 
 
 def test_correctable_errors_are_corrected():
@@ -43,12 +48,13 @@ def test_correctable_errors_are_corrected():
         for _ in range(200):
             w = int(rng.integers(0, 3))
             err = _random_error(rng, code.data_ids, w)
-            corr, corr_par = dec.decode_syndrome(dec.syndrome_of(err))
+            syn = dec.matrix.syndrome(err)
+            corr, _ = dec.graph.decode(syn)
             residual = err ^ corr
-            assert dec.syndrome_of(residual) == 0
-            assert dec.error_logical_parity(residual) == 0
+            assert dec.matrix.syndrome(residual) == 0
+            assert dec.matrix.logical_parity(residual) == 0
             assert not dec.is_logical_failure(err)
-            assert corr_par == dec.error_logical_parity(corr)
+            assert dec.decode_syndrome(syn) == dec.matrix.logical_parity(corr)
 
 
 def test_pure_logical_operator_is_a_failure():
@@ -58,7 +64,7 @@ def test_pure_logical_operator_is_a_failure():
     mask = 0
     for q in code.logical_x:
         mask |= 1 << q
-    assert dec.syndrome_of(mask) == 0
+    assert dec.matrix.syndrome(mask) == 0
     assert dec.is_logical_failure(mask)
 
 
@@ -66,8 +72,9 @@ def test_pure_logical_operator_is_a_failure():
 @pytest.mark.parametrize("kind", ["X", "Z"])
 def test_decode_weight_matches_bruteforce(variant, kind):
     code = build_code(variant, 5)
-    graph = MatchingGraph(code, kind)
-    m = len(graph.checks)
+    # X checks detect for target plus, Z checks for target zero
+    matrix, graph = _graph(code, "plus" if kind == "X" else "zero")
+    m = graph.boundary
     rng = np.random.default_rng(17)
     for _ in range(150):
         k = int(rng.integers(1, min(9, m + 1)))
@@ -76,7 +83,7 @@ def test_decode_weight_matches_bruteforce(variant, kind):
         for i in defects:
             syn |= 1 << i
         mask, weight = graph.decode(syn)
-        assert graph.syndrome_of(mask) == syn
+        assert matrix.syndrome(mask) == syn
         assert weight == mask.bit_count()
         assert weight == match_defects_bruteforce(graph, defects)
 
@@ -84,8 +91,8 @@ def test_decode_weight_matches_bruteforce(variant, kind):
 def test_blossom_engine_agrees_with_dp_above_limit():
     # decode() switches engines at 15 defects; check them against each other
     code = build_code(CodeVariant.UNROTATED, 7)
-    graph = MatchingGraph(code, "X")
-    m = len(graph.checks)
+    matrix, graph = _graph(code, "plus")
+    m = graph.boundary
     rng = np.random.default_rng(23)
     for _ in range(3):
         defects = sorted(rng.choice(m, size=16, replace=False).tolist())
@@ -99,15 +106,16 @@ def test_blossom_engine_agrees_with_dp_above_limit():
             syn |= 1 << i
         mask, weight = graph.decode(syn)
         assert weight == w_dp
-        assert graph.syndrome_of(mask) == syn
+        assert matrix.syndrome(mask) == syn
 
 
 def test_decoding_is_deterministic_and_cached():
     code = build_code(CodeVariant.ROTATED, 3)
     dec = SyndromeDecoder(code, "plus")
     err = 0b101
-    syn = dec.syndrome_of(err)
+    syn = dec.matrix.syndrome(err)
     first = dec.decode_syndrome(syn)
+    assert type(first) is int
     assert dec.decode_syndrome(syn) == first
     assert syn in dec._cache and len(dec._cache) == 1
     fresh = SyndromeDecoder(code, "plus")
@@ -116,12 +124,12 @@ def test_decoding_is_deterministic_and_cached():
 
 def test_path_mask_endpoints():
     code = build_code(CodeVariant.ROTATED, 5)
-    graph = MatchingGraph(code, "Z")
-    for a in range(len(graph.checks)):
-        mask = graph.path_mask(a, graph.boundary)
+    matrix, graph = _graph(code, "zero")
+    for a in range(graph.boundary):
+        mask = graph.paths[a][graph.boundary]
         assert mask.bit_count() == graph.dist[a][graph.boundary]
         # flipping exactly those qubits toggles check a and nothing else
-        assert graph.syndrome_of(mask) == 1 << a
+        assert matrix.syndrome(mask) == 1 << a
 
 
 @pytest.mark.parametrize("target", ["zero", "plus"])

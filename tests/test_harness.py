@@ -1,6 +1,7 @@
 """Monte Carlo harness: intervals, determinism, CSV contract, comparisons."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,31 @@ def test_wilson_against_statsmodels():
         ref_lo, ref_hi = sm.proportion_confint(failures, shots, alpha, method="wilson")
         assert lo == pytest.approx(ref_lo, abs=1e-9)
         assert hi == pytest.approx(ref_hi, abs=1e-9)
+
+
+def _score_endpoint(phat, n, z, inside, outside):
+    """The p between inside and outside where |phat - p| = z*sqrt(p(1-p)/n)."""
+    def accepted(p):
+        return abs(phat - p) <= z * math.sqrt(p * (1 - p) / n)
+
+    if accepted(outside):
+        return outside
+    for _ in range(100):
+        mid = (inside + outside) / 2
+        inside, outside = (mid, outside) if accepted(mid) else (inside, mid)
+    return inside
+
+
+@pytest.mark.parametrize(
+    "failures, shots", [(0, 100), (1, 100), (50, 100), (100, 100), (7, 10**6)]
+)
+def test_wilson_interval_inverts_the_score_test(failures, shots):
+    # second route without statsmodels: the Wilson interval is the set of p
+    # that the score test at z accepts; find its ends by bisection
+    phat = failures / shots
+    lo, hi = wilson_interval(failures, shots)
+    assert lo == pytest.approx(_score_endpoint(phat, shots, 1.96, phat, 0.0), abs=1e-9)
+    assert hi == pytest.approx(_score_endpoint(phat, shots, 1.96, phat, 1.0), abs=1e-9)
 
 
 def test_wilson_interval_properties():
@@ -91,6 +117,9 @@ def test_config_validation_and_roundtrip():
         ("min_failures", 1.5),
         ("distances", (3.7,)),
         ("distances", (3, "5")),
+        ("noise_strengths", (True,)),
+        ("noise_strengths", ("1e-3",)),
+        ("noise_strengths", (0.01, None)),
     ],
 )
 def test_config_rejects_out_of_range_value(field, value):
@@ -129,7 +158,7 @@ def _per_shot_failures(variant, scheme, d, p, shots, seed):
             if fx[s, q]:
                 mask |= 1 << q
         failures += dec.is_logical_failure(mask)
-        top_bit = max(top_bit, dec.syndrome_of(mask).bit_length())
+        top_bit = max(top_bit, dec.matrix.syndrome(mask).bit_length())
     return failures, top_bit
 
 
