@@ -12,8 +12,14 @@ from every node fills one path table: paths[a][b] is the data-qubit mask of
 one deterministic shortest a-b path, and distances are its popcounts.
 
 Decoding pairs up syndrome defects (and optionally the boundary) with exact
-minimum total distance: a subset dynamic program up to 14 defects, blossom
-matching on a twin-node reduction above that.  The correction is the XOR of
+minimum total distance: a memoised subset dynamic program up to 14 defects,
+blossom matching on a twin-node reduction above that.  The DP starts from
+the full defect set and pairs the lowest remaining defect with the boundary
+or with a partner j; it tries only partners closer to it than the two
+boundary distances together.  That pruning is exact, because a farther
+partner can never strictly beat sending both defects to the boundary, so
+the DP picks the same pairs as a full table over all 2^k subsets while
+visiting only the subsets that can matter.  The correction is the XOR of
 the matched pairs' path masks.  Callers ask one question of it, whether it
 flips the protected logical, so SyndromeDecoder.decode_syndrome returns and
 caches that parity bit per syndrome.  match_defects_bruteforce re-solves the
@@ -32,6 +38,8 @@ from .encoders import Scheme, Target, prepared_check_kind
 from .stab_sim import qubit_mask
 
 _DP_LIMIT = 14
+# SyndromeDecoder._cache is emptied when it reaches this many syndromes
+_CACHE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -164,33 +172,58 @@ class MatchingGraph:
 
 
 def _match_dp(dd, bd):
+    # Top-down over the subsets reachable from the full defect set.  The
+    # lowest defect i of a subset goes to the boundary unless some partner j
+    # strictly beats that, tried in ascending order.  Since
+    # cost(rest) <= bd[j] + cost(rest - j), a partner with
+    # dd[i][j] >= bd[i] + bd[j] never does, so it is skipped: every visited
+    # subset picks what the full 2^k table would, ties included.
     k = len(bd)
-    full = (1 << k) - 1
-    cost = [0] * (full + 1)
-    choice: list[tuple[int, int | None]] = [(0, None)] * (full + 1)
-    for s in range(1, full + 1):
-        i = (s & -s).bit_length() - 1
-        rest = s ^ (1 << i)
-        best = bd[i] + cost[rest]
-        pick: tuple[int, int | None] = (i, None)
-        t = rest
-        while t:
-            j = (t & -t).bit_length() - 1
-            t ^= 1 << j
-            c = dd[i][j] + cost[rest ^ (1 << j)]
-            if c < best:
-                best, pick = c, (i, j)
-        cost[s] = best
-        choice[s] = pick
+    near = []  # near[i]: bitmask of the partners j > i worth trying
+    for i in range(k):
+        mask = 0
+        for j in range(i + 1, k):
+            if dd[i][j] < bd[i] + bd[j]:
+                mask |= 1 << j
+        near.append(mask)
+    cost: dict[int, int] = {0: 0}
+    pick: dict[int, int | None] = {}
+    s = (1 << k) - 1
+    weight = _dp_cost(s, dd, bd, near, cost, pick)
     pairs = []
-    s = full
     while s:
-        i, j = choice[s]
+        i = (s & -s).bit_length() - 1
+        j = pick[s]
         pairs.append((i, j))
         s ^= 1 << i
         if j is not None:
             s ^= 1 << j
-    return pairs, cost[full]
+    return pairs, weight
+
+
+def _dp_cost(s, dd, bd, near, cost, pick):
+    # A module-level function, not a closure: a recursive closure is a
+    # reference cycle that only the cyclic garbage collector frees, and on
+    # small syndromes that collection costs as much as the DP.
+    i = (s & -s).bit_length() - 1
+    rest = s ^ (1 << i)
+    c = cost.get(rest)
+    best = bd[i] + (_dp_cost(rest, dd, bd, near, cost, pick) if c is None else c)
+    partner = None
+    row = dd[i]
+    t = rest & near[i]
+    while t:
+        low = t & -t
+        t ^= low
+        c = cost.get(rest ^ low)
+        if c is None:
+            c = _dp_cost(rest ^ low, dd, bd, near, cost, pick)
+        j = low.bit_length() - 1
+        if row[j] + c < best:
+            best, partner = row[j] + c, j
+    cost[s] = best
+    pick[s] = partner
+    return best
 
 
 def _match_blossom(dd, bd):
@@ -244,7 +277,8 @@ class SyndromeDecoder:
     The target's CheckMatrix says which checks flag which errors; the
     matching graph is built on those checks.  Each syndrome's answer, the
     protected-logical parity of its correction, is cached, so repeated
-    syndromes decode once.
+    syndromes decode once.  The cache is emptied when it holds
+    _CACHE_LIMIT syndromes; an answer depends on its syndrome alone.
     """
 
     code: SurfaceCode
@@ -261,6 +295,8 @@ class SyndromeDecoder:
         """The protected-logical parity of the syndrome's correction."""
         parity = self._cache.get(syndrome)
         if parity is None:
+            if len(self._cache) >= _CACHE_LIMIT:
+                self._cache.clear()
             mask, _ = self.graph.decode(syndrome)
             parity = self._cache[syndrome] = self.matrix.logical_parity(mask)
         return parity

@@ -14,6 +14,7 @@ count shots whose corrected residual flips the protected logical.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import math
@@ -224,13 +225,29 @@ def resolve_workers(workers: int | None) -> int:
     return int(raw)
 
 
+def _in_order(pool, tasks: list[tuple], workers: int):
+    """Chunk results in chunk order, with one chunk queued past the busy workers.
+
+    A consumer that stops early leaves at most `workers` chunks running,
+    where pool.imap would have queued every chunk of the point.
+    """
+    pending: collections.deque = collections.deque()
+    for task in tasks:
+        if len(pending) > workers:
+            yield pending.popleft().get()
+        pending.append(pool.apply_async(_chunk_task, (task,)))
+    while pending:
+        yield pending.popleft().get()
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]:
     """Run all (d, p) points of a config; returns results in point order.
 
     With min_failures set, a point stops after the first chunk (in chunk
     order) at which the cumulative failure count reaches the threshold, so
-    low-d points do not burn the full shot budget.  Chunk order is also what
-    keeps multi-worker runs identical to single-worker runs.
+    low-d points do not burn the full shot budget; a pool computes at most
+    `workers` chunks past that one.  Chunk order is also what keeps
+    multi-worker runs identical to single-worker runs.
     """
     workers = resolve_workers(config.workers)
     points = [
@@ -257,7 +274,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
             ]
             failures = 0
             shots_done = 0
-            stream = pool.imap(_chunk_task, tasks) if pool else map(_chunk_task, tasks)
+            stream = _in_order(pool, tasks, workers) if pool else map(_chunk_task, tasks)
             for chunk_id, chunk_failures in enumerate(stream):
                 failures += chunk_failures
                 shots_done += sizes[chunk_id]

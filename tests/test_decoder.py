@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from surfenc import decoder
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.decoder import (
     CheckMatrix,
@@ -12,6 +13,38 @@ from surfenc.decoder import (
     _match_dp,
     match_defects_bruteforce,
 )
+from surfenc.harness import _PointEngine, chunk_rng
+
+
+def _reference_dp(dd, bd):
+    """The full bottom-up table over all 2^k subsets that _match_dp prunes."""
+    k = len(bd)
+    full = (1 << k) - 1
+    cost = [0] * (full + 1)
+    choice: list[tuple[int, int | None]] = [(0, None)] * (full + 1)
+    for s in range(1, full + 1):
+        i = (s & -s).bit_length() - 1
+        rest = s ^ (1 << i)
+        best = bd[i] + cost[rest]
+        pick: tuple[int, int | None] = (i, None)
+        t = rest
+        while t:
+            j = (t & -t).bit_length() - 1
+            t ^= 1 << j
+            c = dd[i][j] + cost[rest ^ (1 << j)]
+            if c < best:
+                best, pick = c, (i, j)
+        cost[s] = best
+        choice[s] = pick
+    pairs = []
+    s = full
+    while s:
+        i, j = choice[s]
+        pairs.append((i, j))
+        s ^= 1 << i
+        if j is not None:
+            s ^= 1 << j
+    return pairs, cost[full]
 
 
 def _random_error(rng, data_ids, weight):
@@ -88,6 +121,34 @@ def test_decode_weight_matches_bruteforce(variant, kind):
         assert weight == match_defects_bruteforce(graph, defects)
 
 
+def test_dp_pairs_equal_the_full_table_on_ties():
+    # distances 0..3 tie often, so the order in which partners are tried
+    # and the strict comparison both show in the pairs
+    rng = np.random.default_rng(29)
+    for k in range(1, decoder._DP_LIMIT + 1):
+        for _ in range(12):
+            upper = np.triu(rng.integers(0, 4, size=(k, k)), 1)
+            dd = (upper + upper.T).tolist()
+            bd = rng.integers(0, 4, size=k).tolist()
+            assert _match_dp(dd, bd) == _reference_dp(dd, bd)
+
+
+def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch):
+    seen = []
+
+    def both(dd, bd):
+        got = _match_dp(dd, bd)
+        assert got == _reference_dp(dd, bd)
+        seen.append(len(bd))
+        return got
+
+    monkeypatch.setattr(decoder, "_match_dp", both)
+    engine = _PointEngine("unrotated", "uea", "zero", 7, 1e-2)
+    engine.count_chunk_failures(2048, chunk_rng(7, 0, 0))
+    assert len(seen) > 500
+    assert max(seen) == decoder._DP_LIMIT
+
+
 def test_blossom_engine_agrees_with_dp_above_limit():
     # decode() switches engines at 15 defects; check them against each other
     code = build_code(CodeVariant.UNROTATED, 7)
@@ -120,6 +181,20 @@ def test_decoding_is_deterministic_and_cached():
     assert syn in dec._cache and len(dec._cache) == 1
     fresh = SyndromeDecoder(code, "plus")
     assert fresh.decode_syndrome(syn) == first
+
+
+def test_syndrome_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(decoder, "_CACHE_LIMIT", 2)
+    code = build_code(CodeVariant.ROTATED, 5)
+    dec = SyndromeDecoder(code, "zero")
+    syndromes = [dec.matrix.syndrome(1 << q | 1 << r) for q, r in ((0, 7), (3, 12), (5, 20))]
+    assert len(set(syndromes)) == 3
+    want = [dec.matrix.logical_parity(dec.graph.decode(syn)[0]) for syn in syndromes]
+    got = []
+    for syn in syndromes + syndromes:
+        got.append(dec.decode_syndrome(syn))
+        assert 0 < len(dec._cache) <= 2
+    assert got == want + want
 
 
 def test_path_mask_endpoints():

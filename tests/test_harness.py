@@ -2,10 +2,12 @@
 
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from surfenc import harness
 from surfenc.decoder import SyndromeDecoder
 from surfenc.code_model import build_code
 from surfenc.encoders import generate_circuit
@@ -242,6 +244,44 @@ def test_adaptive_stopping_trims_shots():
     assert res.failures >= 10
     assert res.shots < 50_000
     assert res.shots % 500 == 0
+
+
+_real_chunk_task = harness._chunk_task
+_chunk_runs = None
+
+
+def _counting_chunk_task(task):
+    # reached through harness._chunk_task in forked workers, which inherit
+    # the patch and the shared counter
+    with _chunk_runs.get_lock():
+        _chunk_runs.value += 1
+    return _real_chunk_task(task)
+
+
+def test_min_failures_stops_pooled_work(monkeypatch):
+    ctx = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "Pool", ctx.Pool)
+    chunk, workers = 4096, 2
+    base = dict(
+        variant="rotated",
+        scheme="ue",
+        target="zero",
+        distances=(3, 5),
+        noise_strengths=(1e-2,),
+        shots=300 * chunk,
+        seed=3,
+        chunk=chunk,
+        min_failures=20,
+    )
+    solo = run_experiment(ExperimentConfig(workers=1, **base))
+    runs = ctx.Value("i", 0)
+    monkeypatch.setitem(globals(), "_chunk_runs", runs)
+    monkeypatch.setattr(harness, "_chunk_task", _counting_chunk_task)
+    pooled = run_experiment(ExperimentConfig(workers=workers, **base))
+    assert pooled == solo
+    used = sum(math.ceil(r.shots / chunk) for r in solo)
+    assert used < 20
+    assert used <= runs.value <= used + workers * len(solo)
 
 
 def test_point_order_is_distance_major():
