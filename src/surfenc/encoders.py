@@ -1,14 +1,21 @@
 """Encoding-circuit generators for surface codes.
 
-Three schemes prepare a logical basis state from a product state:
+All three schemes are built from one shape, the CNOT fan: a pivot qubit
+is the control (X checks) or the target (Z checks) of one CNOT per time
+slot, one to each remaining data qubit of one check.
 
-* ue: unitary encoder.  One CNOT fan per stabilizer check of one kind,
-  controlled (X checks) or targeted (Z checks) on a designated pivot qubit.
-* uea: unitary encoder with ancilla.  Each fan is routed through the
+* ue: unitary encoder.  One fan per stabilizer check of one kind, run from
+  a designated pivot data qubit; nothing is measured.
+* uea: unitary encoder with ancilla.  Each fan is relayed through the
   check's ancilla, which is disentangled again by the closing CNOT; data
   qubits then interact with the ancilla instead of with each other.
-* me: measurement-based encoder.  One round of parallel check measurements
-  of the kind the initial product state does not already satisfy.
+* me: measurement-based encoder.  A measured check is a fan from its
+  ancilla, which is then read out: one stage of parallel check
+  measurements of the kind the initial product state does not already
+  satisfy.
+
+Every scheme resets its pivots in the basis opposite to the target's and
+all other qubits in the target's basis; only me reads its pivots out.
 
 Preparing logical |0> (target zero) needs only the X-check structure, since
 |0...0> already satisfies every Z check; logical |+> is the exact dual.
@@ -25,6 +32,7 @@ does so deliberately to produce a negative control).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -57,20 +65,18 @@ def prepared_check_kind(target: Target) -> str:
 
 @dataclass(frozen=True)
 class GadgetPlan:
-    """One CNOT fan: a check, its pivot, and the remaining support order."""
+    """One CNOT fan: a check, its pivot, and the pivot's partner per slot.
+
+    For ue and uea the pivot is a data qubit of the check and order holds
+    the rest of the support; uea relays the fan through ancilla.  A measured
+    check (me) is a fan whose pivot is the check's ancilla and whose order
+    has one entry per CNOT slot, None where the slot is idle.
+    """
 
     check: StabilizerCheck
     pivot: int
-    order: tuple[int, ...]
+    order: tuple[int | None, ...]
     ancilla: int | None = None
-
-
-@dataclass(frozen=True)
-class MeasureBlock:
-    """One measured check: data qubit per CNOT time slot (None = unused)."""
-
-    check: StabilizerCheck
-    slots: tuple[int | None, int | None, int | None, int | None]
 
 
 @dataclass
@@ -79,7 +85,6 @@ class EncodingPlan:
     scheme: Scheme
     target: Target
     stages: list[list[GadgetPlan]]
-    blocks: list[MeasureBlock]
 
     @property
     def kind(self) -> str:
@@ -118,14 +123,14 @@ def _gadget_plan(code: SurfaceCode, check: StabilizerCheck, scheme: Scheme) -> G
     return GadgetPlan(check=check, pivot=pivot, order=tuple(order), ancilla=ancilla)
 
 
-def gadget_gates(gadget: GadgetPlan, kind: str) -> list[tuple[int, int]]:
-    """CNOTs of one fan as (control, target), in time order."""
+def gadget_gates(gadget: GadgetPlan, kind: str) -> list[tuple[int, int] | None]:
+    """CNOTs of one fan as (control, target) per time slot; None if idle."""
     p = gadget.pivot
     a = gadget.ancilla
     if a is None:
         if kind == "X":
-            return [(p, t) for t in gadget.order]
-        return [(t, p) for t in gadget.order]
+            return [None if t is None else (p, t) for t in gadget.order]
+        return [None if t is None else (t, p) for t in gadget.order]
     if kind == "X":
         return [(p, a)] + [(a, t) for t in gadget.order] + [(p, a)]
     return [(a, p)] + [(t, a) for t in gadget.order] + [(a, p)]
@@ -139,10 +144,10 @@ _ME_SLOTS = {
 }
 
 
-def _measure_block(code: SurfaceCode, check: StabilizerCheck) -> MeasureBlock:
+def _measured_check(code: SurfaceCode, check: StabilizerCheck) -> GadgetPlan:
     anc = code.qubits[check.ancilla]
     slot_map = _ME_SLOTS[(code.variant, check.kind)]
-    slots: list[int | None] = [None, None, None, None]
+    order: list[int | None] = [None, None, None, None]
     for q in check.support:
         dq = code.qubits[q]
         delta = (
@@ -150,31 +155,20 @@ def _measure_block(code: SurfaceCode, check: StabilizerCheck) -> MeasureBlock:
             (dq.col > anc.col) - (dq.col < anc.col),
         )
         slot = slot_map[delta]
-        if slots[slot] is not None:
+        if order[slot] is not None:
             raise ValueError(f"slot collision inside check {check}")
-        slots[slot] = q
-    return MeasureBlock(check=check, slots=tuple(slots))
-
-
-def measure_block_gates(block: MeasureBlock) -> list[tuple[int, int]]:
-    """CNOTs of one measured check in slot order (skipping empty slots)."""
-    anc = block.check.ancilla
-    gates = []
-    for q in block.slots:
-        if q is None:
-            continue
-        gates.append((anc, q) if block.check.kind == "X" else (q, anc))
-    return gates
+        order[slot] = q
+    return GadgetPlan(check=check, pivot=check.ancilla, order=tuple(order))
 
 
 def build_plan(code: SurfaceCode, scheme: Scheme, target: Target) -> EncodingPlan:
     kind = prepared_check_kind(target)
     groups = x_check_rows(code) if kind == "X" else z_check_columns(code)
     if scheme is Scheme.ME:
-        blocks = [_measure_block(code, c) for grp in groups for c in grp]
-        return EncodingPlan(code, scheme, target, stages=[], blocks=blocks)
-    stages = [[_gadget_plan(code, c, scheme) for c in grp] for grp in groups]
-    return EncodingPlan(code, scheme, target, stages=stages, blocks=[])
+        stages = [[_measured_check(code, c) for grp in groups for c in grp]]
+    else:
+        stages = [[_gadget_plan(code, c, scheme) for c in grp] for grp in groups]
+    return EncodingPlan(code, scheme, target, stages)
 
 
 def scramble_plan(plan: EncodingPlan) -> EncodingPlan:
@@ -195,7 +189,7 @@ def scramble_plan(plan: EncodingPlan) -> EncodingPlan:
             break
     else:
         raise ValueError("no full-weight fan found to scramble")
-    return EncodingPlan(plan.code, plan.scheme, plan.target, stages, blocks=[])
+    return replace(plan, stages=stages)
 
 
 def _noisy_reset_layer(groups: list[tuple[str, list[int]]], p: float) -> list[Instruction]:
@@ -221,49 +215,28 @@ def plan_to_circuit(plan: EncodingPlan, p: float) -> Circuit:
     """
     code = plan.code
     kind = plan.kind
-    data = list(code.data_ids)
     zero = plan.target is Target.ZERO
-    layers: list[list[Instruction]] = []
+    fans = [g for stage in plan.stages for g in stage]
+    pivots = sorted(g.pivot for g in fans)
+    pivot_set = set(pivots)
+    groups = [
+        ("R" if zero else "RX", [q for q in code.data_ids if q not in pivot_set]),
+        ("RX" if zero else "R", pivots),
+        ("R" if zero else "RX", [g.ancilla for g in fans if g.ancilla is not None]),
+    ]
+    layers = [_noisy_reset_layer(groups, p)]
 
-    if plan.scheme is Scheme.ME:
-        ancillas = [b.check.ancilla for b in plan.blocks]
-        layers.append(
-            _noisy_reset_layer(
-                [("R" if zero else "RX", data), ("RX" if zero else "R", ancillas)], p
-            )
-        )
-        for slot in range(4):
+    for stage in plan.stages:
+        # one layer per slot, as many as the longest fan has; None is idle
+        for column in itertools.zip_longest(*(gadget_gates(g, kind) for g in stage)):
             layer: list[Instruction] = []
-            for block in plan.blocks:
-                q = block.slots[slot]
-                if q is None:
-                    continue
-                anc = block.check.ancilla
-                pair = (anc, q) if kind == "X" else (q, anc)
-                layer.append(Instruction("CX", pair))
-                layer.append(Instruction("DEPOLARIZE2", pair, p))
+            for gate in column:
+                if gate is not None:
+                    layer.append(Instruction("CX", gate))
+                    layer.append(Instruction("DEPOLARIZE2", gate, p))
             layers.append(layer)
-        layers.append([Instruction("MX" if zero else "M", tuple(sorted(ancillas)))])
-    else:
-        pivots = {g.pivot for stage in plan.stages for g in stage}
-        plain = [q for q in data if q not in pivots]
-        groups = [
-            ("R" if zero else "RX", plain),
-            ("RX" if zero else "R", sorted(pivots)),
-        ]
-        if plan.scheme is Scheme.UEA:
-            ancillas = [g.ancilla for stage in plan.stages for g in stage]
-            groups.append(("R" if zero else "RX", ancillas))
-        layers.append(_noisy_reset_layer(groups, p))
-
-        slots_per_stage = 3 if plan.scheme is Scheme.UE else 5
-        for stage in plan.stages:
-            slot_layers: list[list[Instruction]] = [[] for _ in range(slots_per_stage)]
-            for g in stage:
-                for slot, (c, t) in enumerate(gadget_gates(g, kind)):
-                    slot_layers[slot].append(Instruction("CX", (c, t)))
-                    slot_layers[slot].append(Instruction("DEPOLARIZE2", (c, t), p))
-            layers.extend(slot_layers)
+    if plan.scheme is Scheme.ME:
+        layers.append([Instruction("MX" if zero else "M", tuple(pivots))])
 
     meta = {
         "variant": code.variant.value,

@@ -29,13 +29,7 @@ import numpy as np
 from .circuit_ir import Circuit, Instruction
 from .code_model import SurfaceCode
 from .decoder import CheckMatrix, SyndromeDecoder
-from .encoders import (
-    EncodingPlan,
-    Scheme,
-    Target,
-    gadget_gates,
-    measure_block_gates,
-)
+from .encoders import EncodingPlan, Scheme, Target, gadget_gates
 from .stab_sim import PauliString, pauli_letter, qubit_mask
 
 # the 15 two-qubit basis faults of DEPOLARIZE2 as (label, xa, za, xb, zb)
@@ -164,11 +158,28 @@ def analyze_faults(
     Pairs combine basis faults from two distinct sites (two faults inside
     one depolarizing channel are mutually exclusive outcomes of a single
     event, so same-site pairs are excluded).  A supplied decoder must
-    protect the same target as the analysis.
+    protect the same target as the analysis.  The circuit must have the
+    code's qubit count, and any variant, distance, scheme or target header
+    it carries must agree with the arguments.
     """
     if max_weight not in (1, 2):
         raise ValueError("max_weight must be 1 or 2")
     target, scheme = Target(target), Scheme(scheme)
+    if circuit.n_qubits != code.n_qubits:
+        raise ValueError(
+            f"the circuit has {circuit.n_qubits} qubits, the code {code.n_qubits}"
+        )
+    expected = {
+        "variant": code.variant.value,
+        "distance": str(code.d),
+        "scheme": scheme.value,
+        "target": target.value,
+    }
+    for key, value in expected.items():
+        if circuit.metadata.get(key, value) != value:
+            raise ValueError(
+                f"the circuit's {key} is {circuit.metadata[key]!r}, expected {value!r}"
+            )
     matrix = CheckMatrix.of(code, target, scheme, complementary)
     if decoder is None:
         decoder = SyndromeDecoder(code, matrix.target.value)
@@ -249,14 +260,9 @@ def hook_catalogue(plan: EncodingPlan) -> dict[int, list[HookFault]]:
     data_mask = qubit_mask(code.data_ids)
 
     out: dict[int, list[HookFault]] = {}
-    if plan.scheme is Scheme.ME:
-        units = [(b.check, measure_block_gates(b)) for b in plan.blocks]
-    else:
-        units = [
-            (g.check, gadget_gates(g, plan.kind)) for stage in plan.stages for g in stage
-        ]
-    for check, gates in units:
-        cmask = qubit_mask(check.support)
+    for g in itertools.chain.from_iterable(plan.stages):
+        gates = [gate for gate in gadget_gates(g, plan.kind) if gate is not None]
+        cmask = qubit_mask(g.check.support)
         cxs = [Instruction("CX", gate) for gate in gates]
         entries = []
         for gi, (c, t) in enumerate(gates):
@@ -276,7 +282,7 @@ def hook_catalogue(plan: EncodingPlan) -> dict[int, list[HookFault]]:
                         complementary_data=_bits(comp),
                     )
                 )
-        out[check.ancilla] = entries
+        out[g.check.ancilla] = entries
     return out
 
 

@@ -37,18 +37,20 @@ from .stab_sim import sample_final_frames  # noqa: F401
 
 CHUNK_SHOTS = 65536
 
-CSV_COLUMNS = (
-    "variant",
-    "scheme",
-    "target",
-    "d",
-    "p",
-    "shots",
-    "failures",
-    "p_l",
-    "ci_lo",
-    "ci_hi",
+# one (column, parser) pair per PointResult field, in CSV order
+_CSV_FIELDS = (
+    ("variant", str),
+    ("scheme", str),
+    ("target", str),
+    ("d", int),
+    ("p", float),
+    ("shots", int),
+    ("failures", int),
+    ("p_l", float),
+    ("ci_lo", float),
+    ("ci_hi", float),
 )
+CSV_COLUMNS = tuple(column for column, _ in _CSV_FIELDS)
 
 
 def _integer(name: str, value) -> int:
@@ -107,9 +109,12 @@ class ExperimentConfig:
         for p in self.noise_strengths:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"noise strength must be in [0, 1], got {p}")
-        CodeVariant(self.variant)
-        Scheme(self.scheme)
-        Target(self.target)
+        for name in ("distances", "noise_strengths"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        self.variant = CodeVariant(self.variant).value
+        self.scheme = Scheme(self.scheme).value
+        self.target = Target(self.target).value
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -308,23 +313,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
 
 
 def write_results_csv(results: list[PointResult], fileobj) -> None:
+    # csv writes the other floats through str, which is repr
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in results:
-        writer.writerow(
-            [
-                r.variant,
-                r.scheme,
-                r.target,
-                r.d,
-                f"{r.p:e}",
-                r.shots,
-                r.failures,
-                repr(r.p_l),
-                repr(r.ci_lo),
-                repr(r.ci_hi),
-            ]
-        )
+        writer.writerow(f"{r.p:e}" if c == "p" else getattr(r, c) for c in CSV_COLUMNS)
 
 
 def read_results_csv(fileobj) -> list[PointResult]:
@@ -332,23 +325,7 @@ def read_results_csv(fileobj) -> list[PointResult]:
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"results CSV lacks the columns {missing}")
-    out = []
-    for row in reader:
-        out.append(
-            PointResult(
-                variant=row["variant"],
-                scheme=row["scheme"],
-                target=row["target"],
-                d=int(row["d"]),
-                p=float(row["p"]),
-                shots=int(row["shots"]),
-                failures=int(row["failures"]),
-                p_l=float(row["p_l"]),
-                ci_lo=float(row["ci_lo"]),
-                ci_hi=float(row["ci_hi"]),
-            )
-        )
-    return out
+    return [PointResult(**{c: parse(row[c]) for c, parse in _CSV_FIELDS}) for row in reader]
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,7 @@ def test_circuit_commands_reject_bad_distance_and_p(command, extra, capsys):
         (["--distances", "4"], None, "distance"),
         (["--shots", "0"], None, "shots"),
         ([], {"distances": [3], "colour": "red"}, "unknown config keys"),
+        ([], {"distances": []}, "distances must not be empty"),
     ],
 )
 def test_simulate_rejects_bad_config_in_one_line(tmp_path, capsys, args, config, needle):

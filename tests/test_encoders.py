@@ -1,5 +1,7 @@
 """Encoder plans and circuits: orders, counts, depths, noise placement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,53 @@ def test_generate_circuit_input_validation():
         generate_circuit("rotated", 3, "ue", "diag", 0.0)
     with pytest.raises(ValueError):
         generate_circuit("rotated", 3, "ue", "zero", 1.5)
+
+
+# sha256 of generate_circuit(variant, d, scheme, target, 1e-3, scrambled).to_text(),
+# keyed by (variant, scheme, target, d, scrambled): the emitted bytes, layer
+# order and reset groups included, are part of every seeded result
+FROZEN_CIRCUIT_DIGESTS = {
+    ("rotated", "ue", "zero", 3, False): "03d7402c516550855a4be36a601abf6d36fe8969036e1ca586c58cff03dd9ff2",
+    ("rotated", "ue", "zero", 5, False): "5233ce0c0ec47bb9bb7785177a7eb26161454cfaf49569db73ca740a70685013",
+    ("rotated", "ue", "plus", 3, False): "77ccf13cf4cecc20c55a12e2af5bae1dcd2c81f9992f987108ec208f82f6fd38",
+    ("rotated", "ue", "plus", 5, False): "fd5808e938304313ce3fdb052789830e460a75e51d9659f0b2987218bff1c1b2",
+    ("rotated", "uea", "zero", 3, False): "e2dc6f19b4f25a9653bc9185580aee444cde0e71f1210d567921afe56ac30fa2",
+    ("rotated", "uea", "zero", 5, False): "a4f719b1eef92610aa3bd06895323f81e9f10c9cc80ed02babf3b4d45cffba26",
+    ("rotated", "uea", "plus", 3, False): "0bb496dbc2013d95a94650c536161e0e14141b5b24771dc6f7d5beee56cec866",
+    ("rotated", "uea", "plus", 5, False): "d6ec3a64a7284ea16d7cd3a10e5b64c24714c630e07d7113bd6826481918c997",
+    ("rotated", "me", "zero", 3, False): "0086d06093dc86d5d8ad0adc0e4e24e80fe1c6f86f135fc47415ba716ab877b8",
+    ("rotated", "me", "zero", 5, False): "ac5642012db0580342166cac5c5674d5a848c03ae620cdbc5b48ea53c6327fc7",
+    ("rotated", "me", "plus", 3, False): "b65e5cdc97b415c960468ce5f76a6c83f5c77631a9bf5f3445fc61daddb28e56",
+    ("rotated", "me", "plus", 5, False): "c9225aa68b8dfe0e2ce06f50f689911c5ef5846821d02157fe250b2716f600ca",
+    ("unrotated", "ue", "zero", 3, False): "389bac2b60f0bd4b20f22b2c0e6012e66a9a1887b56fa035e5db9c25a7e307d9",
+    ("unrotated", "ue", "zero", 5, False): "00db49e82e1ab15f8fd2e2ba3eb15b8493c4b5cda442be36001a712d9133db73",
+    ("unrotated", "ue", "plus", 3, False): "e4dbe465a60c3d1d0d81894faf5843e47a159066aeb7806990088f084378388e",
+    ("unrotated", "ue", "plus", 5, False): "f6e84351a84fd1700617d112e97087f15ebff7a2944cdafd8d71113716bf4a31",
+    ("unrotated", "uea", "zero", 3, False): "9ae1680baccb0b0b9871c84096e55a3c82c3b4e9b9a6b5a2c666bf8e32b6632d",
+    ("unrotated", "uea", "zero", 5, False): "06f572e4897b62ada893985357cb35dcdf71b6d62b3d130750c7c615263d251e",
+    ("unrotated", "uea", "plus", 3, False): "d8c5c2402edec06be61e7f1a30390bac1d1c300f08f834588aeafa818da1777b",
+    ("unrotated", "uea", "plus", 5, False): "8ff1bee19ee17a891f2d7c7a92376fb918e4f6b12a476aa29fbdfbf2dddfd13c",
+    ("unrotated", "me", "zero", 3, False): "4499b2ee59d7c8fb57aa96768935094e8a5707cc0a60b0a2d0db14a3c635f16a",
+    ("unrotated", "me", "zero", 5, False): "954636e74f24abf46d52382990b81f2bfcccb176d4ff123d55e1327e5c14055d",
+    ("unrotated", "me", "plus", 3, False): "350302f283dc3f9a9f4d22a2a3696eded694da82334af41a8a97ce028921584e",
+    ("unrotated", "me", "plus", 5, False): "0693990f83bd7d5e814c06a6d163847abe41e21e3843c04d229cb9e0534afeab",
+    ("rotated", "ue", "zero", 3, True): "fba67d2f130304ca507ea0de8d9d33147c2f076e596f017b12a2f088b9ca0c66",
+    ("rotated", "ue", "zero", 5, True): "f9e89b2b2ad4334222b579ffd7908016d38419646029e44ca1379e2a531548d6",
+    ("rotated", "ue", "plus", 3, True): "9255c88b7797a6a9a6ec389238cb95dc86c5552ee4c7c11a96842af09ae61797",
+    ("rotated", "ue", "plus", 5, True): "a3b5a0c89bdcec02f86848b2f54a2ccebd187dd51ed025b7c3efa2c8dde65dcc",
+    ("unrotated", "ue", "zero", 3, True): "f8b63b0c7a08211fefb823452b76f2dd6701c53e9af56a7329c6e3b61e27f92a",
+    ("unrotated", "ue", "zero", 5, True): "e84360528a6afc3c2b4d9ef127999fbc9b99c574aacbe469752e77cf263efe38",
+    ("unrotated", "ue", "plus", 3, True): "90628ff0c6607510b51b96b9a0e70179b4cf6fbe15f34eec5a1756ea17b81fa6",
+    ("unrotated", "ue", "plus", 5, True): "994d1fac1fbe54190d2801566cee61ce681879210f954db5c7a7fa6a7ece2753",
+}
+
+
+@pytest.mark.parametrize(
+    "key",
+    sorted(FROZEN_CIRCUIT_DIGESTS),
+    ids=lambda k: "-".join(map(str, k[:4])) + ("-scrambled" if k[4] else ""),
+)
+def test_circuit_text_is_frozen(key):
+    variant, scheme, target, d, scrambled = key
+    text = generate_circuit(variant, d, scheme, target, 1e-3, scrambled=scrambled).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_CIRCUIT_DIGESTS[key]

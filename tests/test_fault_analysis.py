@@ -183,6 +183,25 @@ def test_analyze_faults_rejects_decoder_for_other_target():
     assert report.analysis == "complementary"
 
 
+def test_analyze_faults_rejects_circuit_of_another_code():
+    small = build_code(CodeVariant.ROTATED, 3)
+    wide = generate_circuit(CodeVariant.ROTATED, 5, Scheme.UE, Target.ZERO, 1e-3)
+    with pytest.raises(ValueError, match="qubits"):
+        analyze_faults(wide, small, Target.ZERO, Scheme.UE)
+    circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
+    for key, value in [
+        ("variant", "unrotated"), ("distance", "5"), ("scheme", "uea"), ("target", "plus"),
+    ]:
+        forged = Circuit(circuit.n_qubits, circuit.layers, dict(circuit.metadata, **{key: value}))
+        with pytest.raises(ValueError, match=key):
+            analyze_faults(forged, small, Target.ZERO, Scheme.UE)
+    with pytest.raises(ValueError, match="target"):
+        analyze_faults(circuit, small, Target.PLUS, Scheme.UE)
+    # a hand-made circuit carries no headers and is judged as given
+    bare = Circuit(circuit.n_qubits, circuit.layers)
+    assert analyze_faults(bare, small, Target.ZERO, Scheme.UE).failing_combinations == []
+
+
 def test_readme_library_example_runs(capsys):
     # the README's "Library" snippet passes target and scheme as strings
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,6 +1,7 @@
 """Monte Carlo harness: intervals, determinism, CSV contract, comparisons."""
 
 import io
+import json
 import math
 import multiprocessing
 
@@ -9,8 +10,8 @@ import pytest
 
 from surfenc import harness
 from surfenc.decoder import SyndromeDecoder
-from surfenc.code_model import build_code
-from surfenc.encoders import generate_circuit
+from surfenc.code_model import CodeVariant, build_code
+from surfenc.encoders import Scheme, Target, generate_circuit
 from surfenc.harness import (
     ExperimentConfig,
     PointResult,
@@ -122,11 +123,28 @@ def test_config_validation_and_roundtrip():
         ("noise_strengths", (True,)),
         ("noise_strengths", ("1e-3",)),
         ("noise_strengths", (0.01, None)),
+        ("distances", ()),
+        ("noise_strengths", ()),
     ],
 )
 def test_config_rejects_out_of_range_value(field, value):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: value})
+
+
+def test_config_stores_enum_members_as_their_values():
+    base = dict(distances=(3,), noise_strengths=(0.02,), shots=500, seed=4, workers=1)
+    named = ExperimentConfig(variant="rotated", scheme="ue", target="zero", **base)
+    enums = ExperimentConfig(
+        variant=CodeVariant.ROTATED, scheme=Scheme.UE, target=Target.ZERO, **base
+    )
+    assert enums.to_dict() == named.to_dict()
+    json.dumps(enums.to_dict())
+    a, b = io.StringIO(), io.StringIO()
+    write_results_csv(run_experiment(named), a)
+    write_results_csv(run_experiment(enums), b)
+    assert b.getvalue() == a.getvalue()
+    assert b.getvalue().splitlines()[1].startswith("rotated,ue,zero,3,")
 
 
 def test_config_accepts_range_edges():
