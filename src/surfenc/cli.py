@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 
+from .circuit_ir import Circuit
 from .code_model import CodeVariant, build_code
 from .encoders import Scheme, Target, generate_circuit
 from .fault_analysis import analyze_faults
@@ -104,11 +105,21 @@ def _error(exc: Exception) -> int:
     return 2
 
 
+def _circuit(args) -> Circuit | int:
+    """The circuit that generate and verify act on, or exit status 2."""
+    try:
+        return generate_circuit(
+            args.variant, args.distance, args.scheme, args.target, args.p,
+            scrambled=args.scrambled,
+        )
+    except ValueError as exc:  # e.g. --scrambled with a scheme other than ue
+        return _error(exc)
+
+
 def _cmd_generate(args) -> int:
-    circuit = generate_circuit(
-        args.variant, args.distance, args.scheme, args.target, args.p,
-        scrambled=args.scrambled,
-    )
+    circuit = _circuit(args)
+    if isinstance(circuit, int):
+        return circuit
     text = circuit.to_text()
     if args.out:
         try:
@@ -171,10 +182,10 @@ def _cmd_verify(args) -> int:
     variant = CodeVariant(args.variant)
     scheme = Scheme(args.scheme)
     target = Target(args.target)
+    circuit = _circuit(args)
+    if isinstance(circuit, int):
+        return circuit
     code = build_code(variant, args.distance)
-    circuit = generate_circuit(
-        variant, args.distance, scheme, target, args.p, scrambled=args.scrambled
-    )
     report = analyze_faults(
         circuit,
         code,

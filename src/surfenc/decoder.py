@@ -19,12 +19,14 @@ or with a partner j; it tries only partners closer to it than the two
 boundary distances together.  That pruning is exact, because a farther
 partner can never strictly beat sending both defects to the boundary, so
 the DP picks the same pairs as a full table over all 2^k subsets while
-visiting only the subsets that can matter.  The correction is the XOR of
-the matched pairs' path masks.  Callers ask one question of it, whether it
-flips the protected logical, so SyndromeDecoder.decode_syndrome returns and
-caches that parity bit per syndrome.  match_defects_bruteforce re-solves the
-matching by enumerating every pairing and exists purely as an independent
-cross-check; nothing in the decode path calls it.
+visiting only the subsets that can matter.  The DP works on check indices,
+so the syndrome is its defect set and the partner masks are built once per
+graph.  The correction is the XOR of the matched pairs' path masks.
+Callers ask one question of it, whether it flips the protected logical, so
+SyndromeDecoder.decode_syndrome returns and caches that parity bit per
+syndrome.  match_defects_bruteforce re-solves the matching by
+enumerating every pairing and exists purely as an independent cross-check;
+nothing in the decode path calls it.
 """
 
 from __future__ import annotations
@@ -152,43 +154,57 @@ class MatchingGraph:
                 raise ValueError("matching graph is disconnected")
             self.paths.append(path)
         self.dist = [[p.bit_count() for p in row] for row in self.paths]
+        # the DP reads these by check index, so a syndrome is its defect set
+        self.bdist = [row[m] for row in self.dist[:m]]
+        self.near = _near(self.dist, self.bdist)
 
     def decode(self, syndrome: int) -> tuple[int, int]:
         """Minimum-weight correction for a syndrome: (data mask, weight)."""
-        defects = [i for i in range(self.boundary) if (syndrome >> i) & 1]
-        k = len(defects)
+        k = syndrome.bit_count()
         if k == 0:
             return 0, 0
-        dd = [[self.dist[a][b] for b in defects] for a in defects]
-        bd = [self.dist[a][self.boundary] for a in defects]
+        paths, dist, edge = self.paths, self.dist, self.boundary
         if k <= _DP_LIMIT:
-            pairs, weight = _match_dp(dd, bd)
+            pairs, weight = _match_dp(dist, self.bdist, syndrome, self.near)
         else:
+            defects = []
+            rest = syndrome
+            while rest:
+                low = rest & -rest
+                defects.append(low.bit_length() - 1)
+                rest ^= low
+            dd = [[dist[a][c] for c in defects] for a in defects]
+            bd = [dist[a][edge] for a in defects]
             pairs, weight = _match_blossom(dd, bd)
+            pairs = [(defects[i], None if j is None else defects[j]) for i, j in pairs]
         mask = 0
         for i, j in pairs:
-            mask ^= self.paths[defects[i]][self.boundary if j is None else defects[j]]
+            mask ^= paths[i][edge if j is None else j]
         return mask, weight
 
 
-def _match_dp(dd, bd):
+def _near(dd, bd):
+    """near[i]: bitmask of the partners j > i with dd[i][j] < bd[i] + bd[j]."""
+    k = len(bd)
+    return [
+        sum(1 << j for j in range(i + 1, k) if dd[i][j] < bd[i] + bd[j]) for i in range(k)
+    ]
+
+
+def _match_dp(dd, bd, s, near):
+    """Exact matching of the defect set s, a bitmask of defect indices.
+
+    dd, bd and near = _near(dd, bd) are indexed by defect, and the pairs
+    (i, j or None for the boundary) name defects the same way.
+    """
     # Top-down over the subsets reachable from the full defect set.  The
     # lowest defect i of a subset goes to the boundary unless some partner j
     # strictly beats that, tried in ascending order.  Since
     # cost(rest) <= bd[j] + cost(rest - j), a partner with
     # dd[i][j] >= bd[i] + bd[j] never does, so it is skipped: every visited
     # subset picks what the full 2^k table would, ties included.
-    k = len(bd)
-    near = []  # near[i]: bitmask of the partners j > i worth trying
-    for i in range(k):
-        mask = 0
-        for j in range(i + 1, k):
-            if dd[i][j] < bd[i] + bd[j]:
-                mask |= 1 << j
-        near.append(mask)
     cost: dict[int, int] = {0: 0}
     pick: dict[int, int | None] = {}
-    s = (1 << k) - 1
     weight = _dp_cost(s, dd, bd, near, cost, pick)
     pairs = []
     while s:

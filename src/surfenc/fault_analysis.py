@@ -14,9 +14,16 @@ still flips the protected logical.  The complementary analysis uses the dual
 target's matrix, which for measurement-based circuits also reads the
 measured ancillas' outcome flips.
 
-Single faults are grouped by syndrome, and the U distinct syndromes are
-decoded once; pairs then need only the U x U table of decoded XORs of two
-distinct syndromes, since syndrome and parity are linear in the residual.
+A fault's class is its (syndrome, logical parity); the U distinct syndromes
+are decoded once, so there are at most 2U classes.  Since syndrome and
+parity are linear in the residual, whether a pair fails depends on its two
+classes alone: the pair of classes (s, p) and (t, q) fails iff
+p ^ q ^ decode(s ^ t), and one U x U table of decoded XORs fills the class
+failure table.  Only faults whose class has a failing partner class are
+expanded to fault pairs; there the pairs from two distinct sites are listed
+in row-major order of the fault list.  When no class pair fails, as in the
+protected analysis at d >= 5, nothing of size F x F is built for the F
+basis faults.
 """
 
 from __future__ import annotations
@@ -188,35 +195,53 @@ def analyze_faults(
     faults = backward_images(circuit)
     n_sites = len({f.site.index for f in faults})
 
-    # singles: one decode per distinct syndrome
+    # A fault's class is (syndrome index, logical parity), numbered in order
+    # of first appearance.  A depolarizing site reads at most four distinct
+    # residuals among its 15 bases, so each residual is judged once.
     index: dict[int, int] = {}
-    inv = np.empty(len(faults), dtype=np.intp)
-    lpar = np.empty(len(faults), dtype=np.uint8)
-    site_ids = np.empty(len(faults), dtype=np.intp)
-    for i, f in enumerate(faults):
+    classes: dict[tuple[int, int], int] = {}
+    class_of: dict[int, int] = {}
+    cls = []
+    for f in faults:
         res = matrix.read(f.res_x, f.res_z)
-        inv[i] = index.setdefault(matrix.syndrome(res), len(index))
-        lpar[i] = matrix.logical_parity(res)
-        site_ids[i] = f.site.index
+        c = class_of.get(res)
+        if c is None:
+            u = index.setdefault(matrix.syndrome(res), len(index))
+            key = (u, matrix.logical_parity(res))
+            c = class_of[res] = classes.setdefault(key, len(classes))
+        cls.append(c)
+    cls = np.array(cls, dtype=np.intp)
     uniq = list(index)
     corr = np.array([decoder.decode_syndrome(s) for s in uniq], dtype=np.uint8)
+    syn, parity = np.array(list(classes), dtype=np.intp).reshape(-1, 2).T
+    parity = parity.astype(np.uint8)
 
     failing: list[tuple[str, ...]] = []
-    for i in np.flatnonzero(lpar ^ corr[inv]):
+    for i in np.flatnonzero((parity ^ corr[syn])[cls]):
         f = faults[i]
         failing.append((f.site.describe(f.basis),))
 
     if max_weight == 2:
-        # pair (i, j) fails iff lpar_i ^ lpar_j ^ corr(syn_i ^ syn_j) is set
-        table = np.empty((len(uniq), len(uniq)), dtype=np.uint8)
+        # syndrome and parity are linear in the residual, so a pair's fate
+        # depends on its two classes alone
+        decode = decoder.decode_syndrome
+        table = np.zeros((len(uniq), len(uniq)), dtype=np.uint8)
         for a, sa in enumerate(uniq):
-            for b in range(a, len(uniq)):
-                table[a, b] = table[b, a] = decoder.decode_syndrome(sa ^ uniq[b])
-        fail = (lpar[:, None] ^ lpar[None, :] ^ table[inv[:, None], inv[None, :]]).view(bool)
-        fail &= site_ids[:, None] != site_ids[None, :]
-        for i, j in zip(*np.nonzero(np.triu(fail, k=1))):
-            a, b = faults[i], faults[j]
-            failing.append((a.site.describe(a.basis), b.site.describe(b.basis)))
+            table[a, a:] = [decode(sa ^ sb) for sb in uniq[a:]]
+        table |= table.T
+        class_fail = parity[:, None] ^ parity[None, :] ^ table[syn[:, None], syn[None, :]]
+        class_fail = class_fail.view(bool)
+        # expand to fault pairs only the faults whose class has a failing
+        # partner class
+        involved = np.flatnonzero(class_fail.any(axis=1)[cls])
+        if len(involved):
+            sub = cls[involved]
+            sites = np.array([faults[i].site.index for i in involved])
+            fail = class_fail[sub[:, None], sub[None, :]]
+            fail &= sites[:, None] != sites[None, :]
+            text = [faults[i].site.describe(faults[i].basis) for i in involved]
+            for i, j in zip(*np.nonzero(np.triu(fail, k=1))):
+                failing.append((text[i], text[j]))
 
     if failing:
         bound = min(len(c) for c in failing)

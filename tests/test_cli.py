@@ -202,6 +202,18 @@ def test_io_errors_end_in_one_line(tmp_path, capsys, argv, needle):
     assert needle in lines[0]
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+@pytest.mark.parametrize("scheme", ["uea", "me"])
+def test_scrambled_needs_scheme_ue_in_one_line(command, scheme, capsys):
+    argv = [command, "--variant", "rotated", "-d", "3", "--scheme", scheme, "--scrambled"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("surfenc: error: ")
+    assert "plain unitary encoder" in lines[0]
+
+
 def test_unknown_command_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -11,6 +11,7 @@ from surfenc.decoder import (
     SyndromeDecoder,
     _match_blossom,
     _match_dp,
+    _near,
     match_defects_bruteforce,
 )
 from surfenc.harness import _PointEngine, chunk_rng
@@ -45,6 +46,11 @@ def _reference_dp(dd, bd):
         if j is not None:
             s ^= 1 << j
     return pairs, cost[full]
+
+
+def _dp(dd, bd):
+    """_match_dp over all the defects of dd and bd."""
+    return _match_dp(dd, bd, (1 << len(bd)) - 1, _near(dd, bd))
 
 
 def _random_error(rng, data_ids, weight):
@@ -130,16 +136,53 @@ def test_dp_pairs_equal_the_full_table_on_ties():
             upper = np.triu(rng.integers(0, 4, size=(k, k)), 1)
             dd = (upper + upper.T).tolist()
             bd = rng.integers(0, 4, size=k).tolist()
-            assert _match_dp(dd, bd) == _reference_dp(dd, bd)
+            assert _dp(dd, bd) == _reference_dp(dd, bd)
+
+
+def _reference_decode(graph, defects):
+    """decode() through the full table: (data mask, weight, pairs by check)."""
+    dd = [[graph.dist[a][b] for b in defects] for a in defects]
+    bd = [graph.dist[a][graph.boundary] for a in defects]
+    local, weight = _reference_dp(dd, bd)
+    pairs = [(defects[i], None if j is None else defects[j]) for i, j in local]
+    mask = 0
+    for a, b in pairs:
+        mask ^= graph.paths[a][graph.boundary if b is None else b]
+    return mask, weight, pairs
+
+
+@pytest.mark.parametrize("variant", list(CodeVariant))
+@pytest.mark.parametrize("target", ["zero", "plus"])
+def test_one_and_two_defects_equal_the_full_table(variant, target):
+    # every single defect and every pair of defects, ties
+    # dist[a][b] == bd[a] + bd[b] included, gets the full table's mask and
+    # weight
+    for d in (3, 5):
+        _, graph = _graph(build_code(variant, d), target)
+        m = graph.boundary
+        ties = 0
+        for a in range(m):
+            mask, weight, _ = _reference_decode(graph, [a])
+            assert graph.decode(1 << a) == (mask, weight)
+            for b in range(a + 1, m):
+                mask, weight, _ = _reference_decode(graph, [a, b])
+                assert graph.decode(1 << a | 1 << b) == (mask, weight), (a, b)
+                ties += graph.dist[a][b] == graph.dist[a][m] + graph.dist[b][m]
+        assert ties > 0
 
 
 def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch):
     seen = []
 
-    def both(dd, bd):
-        got = _match_dp(dd, bd)
-        assert got == _reference_dp(dd, bd)
-        seen.append(len(bd))
+    def both(dd, bd, s, near):
+        # decode() passes whole-graph tables and the syndrome as defect set
+        got = _match_dp(dd, bd, s, near)
+        defects = [i for i in range(len(bd)) if s >> i & 1]
+        graph = engine.decoder.graph
+        assert dd is graph.dist and bd is graph.bdist
+        _, weight, pairs = _reference_decode(graph, defects)
+        assert got == (pairs, weight)
+        seen.append(len(defects))
         return got
 
     monkeypatch.setattr(decoder, "_match_dp", both)
@@ -159,7 +202,7 @@ def test_blossom_engine_agrees_with_dp_above_limit():
         defects = sorted(rng.choice(m, size=16, replace=False).tolist())
         dd = [[graph.dist[a][b] for b in defects] for a in defects]
         bd = [graph.dist[a][graph.boundary] for a in defects]
-        _, w_dp = _match_dp(dd, bd)
+        _, w_dp = _dp(dd, bd)
         _, w_bl = _match_blossom(dd, bd)
         assert w_dp == w_bl
         syn = 0

@@ -151,6 +151,39 @@ def test_fault_pairs_break_d3_but_not_singles():
     assert all(len(combo) == 2 for combo in report.failing_combinations)
 
 
+def _failing_by_plain_loop(circuit, code, target, scheme, complementary):
+    """Every single fault, then every distinct-site pair, judged one by one."""
+    matrix = CheckMatrix.of(code, target, scheme, complementary)
+    decoder = SyndromeDecoder(code, matrix.target.value)
+    faults = backward_images(circuit)
+
+    def fails(x, z):
+        res = matrix.read(x, z)
+        return matrix.logical_parity(res) ^ decoder.decode_syndrome(matrix.syndrome(res))
+
+    failing = [(f.site.describe(f.basis),) for f in faults if fails(f.res_x, f.res_z)]
+    for i, a in enumerate(faults):
+        for b in faults[i + 1 :]:
+            if a.site.index != b.site.index and fails(a.res_x ^ b.res_x, a.res_z ^ b.res_z):
+                failing.append((a.site.describe(a.basis), b.site.describe(b.basis)))
+    return failing
+
+
+@pytest.mark.parametrize("variant", list(CodeVariant))
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("complementary", [False, True])
+def test_pair_classes_equal_a_plain_loop_over_pairs(variant, scheme, complementary):
+    code = build_code(variant, 3)
+    for target in Target:
+        circuit = generate_circuit(variant, 3, scheme, target, 1e-3)
+        report = analyze_faults(
+            circuit, code, target, scheme, max_weight=2, complementary=complementary
+        )
+        want = _failing_by_plain_loop(circuit, code, target, scheme, complementary)
+        assert any(len(c) == 2 for c in want)
+        assert report.failing_combinations == want
+
+
 @pytest.mark.parametrize(
     "variant,d,scheme,target,max_weight",
     [
