@@ -98,6 +98,23 @@ class CheckMatrix:
         """The component of a residual (x, z) that this matrix judges."""
         return x if self.axis == "X" else z
 
+    def key_images(self, n: int) -> tuple[list[int], list[int]]:
+        """Per-qubit (X, Z) images for fault_analysis.backward_images.
+
+        On the read axis qubit q maps to bit i for every row i that reads
+        it, plus bit m = len(rows) if the logical contains it; the other
+        axis maps to 0.  A residual's image is then its key,
+        syndrome | logical parity << m.
+        """
+        m = len(self.rows)
+        key = [0] * n
+        for i, support in enumerate(self.supports):
+            for q in support:
+                key[q] |= 1 << i
+        for q in self.logical_support:
+            key[q] |= 1 << m
+        return (key, [0] * n) if self.axis == "X" else ([0] * n, key)
+
     def syndrome(self, mask: int) -> int:
         return sum(((mask & row).bit_count() & 1) << i for i, row in enumerate(self.rows))
 

@@ -5,16 +5,21 @@ chunks of shots.  Chunk c of point i draws from an independent counter-based
 RNG stream, Philox keyed by (seed, i) with counter (0, 0, c, 0), so results
 are bit-identical no matter how chunks are distributed over workers.
 
-Per chunk: propagate packed Pauli frames, XOR the protected error component
-of the qubit rows that each row of the target's CheckMatrix reads into one
-syndrome row per check and one logical parity row, count the shots with an
-empty syndrome directly, decode each distinct nonempty syndrome once, and
-count shots whose corrected residual flips the protected logical.
+A shot's syndrome and logical parity are linear in its faults, so no qubit
+is simulated.  Per point, one backward pass in the key space of the target's
+CheckMatrix (fault_analysis.fault_keys) gives every basis fault its key,
+syndrome | logical parity << m for m checks, held in W = ceil((m+1)/64)
+uint64 words.  Per chunk, each noise instruction draws its hits through
+stab_sim.noise_draws, as the frame sampler does, and bitwise_xor.at XORs
+the keys of the hit faults into their shots.  Shots with an empty syndrome
+are counted directly, each distinct nonempty syndrome is decoded once, and
+a shot fails when its parity differs from its correction's.
 """
 
 from __future__ import annotations
 
 import collections
+import collections.abc
 import csv
 import functools
 import math
@@ -26,10 +31,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .circuit_ir import Circuit
 from .code_model import CodeVariant, build_code
 from .decoder import SyndromeDecoder
 from .encoders import Scheme, Target, generate_circuit
-from .stab_sim import sample_packed_frames, unpack_shots
+from .fault_analysis import fault_keys
+from .stab_sim import noise_draws
 
 # sample_final_frames stays importable from here: perfbench/rep.py wraps
 # harness.sample_final_frames by that name.
@@ -63,6 +70,13 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _sequence(name: str, value) -> tuple:
+    """value as a tuple; scalars and strings raise ValueError."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, collections.abc.Iterable):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def _real(name: str, value) -> float:
     """value as a float; bools, strings and other non-reals raise ValueError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -84,8 +98,12 @@ class ExperimentConfig:
     chunk: int = CHUNK_SHOTS
 
     def __post_init__(self):
-        self.distances = tuple(_integer("distances", d) for d in self.distances)
-        self.noise_strengths = tuple(_real("noise_strengths", p) for p in self.noise_strengths)
+        self.distances = tuple(
+            _integer("distances", d) for d in _sequence("distances", self.distances)
+        )
+        self.noise_strengths = tuple(
+            _real("noise_strengths", p) for p in _sequence("noise_strengths", self.noise_strengths)
+        )
         self.shots = _integer("shots", self.shots)
         self.seed = _integer("seed", self.seed)
         self.chunk = _integer("chunk", self.chunk)
@@ -149,6 +167,8 @@ def wilson_interval(failures: int, shots: int, z: float = 1.96) -> tuple[float, 
     """95% Wilson score interval for a binomial proportion."""
     if shots <= 0:
         raise ValueError("shots must be positive")
+    if not 0 <= failures <= shots:
+        raise ValueError(f"failures must be in [0, shots={shots}], got {failures}")
     phat = failures / shots
     denom = 1.0 + z * z / shots
     center = (phat + z * z / (2 * shots)) / denom
@@ -166,39 +186,79 @@ def chunk_rng(seed: int, point_index: int, chunk_id: int) -> np.random.Generator
     return np.random.Generator(bits)
 
 
+def sample_fault_keys(
+    circuit: Circuit, keys: np.ndarray, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per shot, the XOR of the keys of the basis faults that hit it.
+
+    keys is word-major, (W, F) uint64: column f belongs to basis fault f of
+    backward_images(circuit), in the order fault_analysis.fault_keys gives.
+    The result is (W, shots) in the same layout.  The draws come from
+    stab_sim.noise_draws, so for an equal rng column s is the linear map
+    behind keys applied to shot s of sample_packed_frames.
+    """
+    acc = np.zeros((len(keys), shots), dtype=keys.dtype)
+    base = 0
+    for _, instr in circuit.instructions():
+        if not instr.is_noise:
+            continue
+        site, shot, k = noise_draws(instr, shots, rng)
+        if k is None:
+            fault = base + site
+            base += len(instr.targets)
+        else:
+            fault = base + 15 * site + k - 1
+            base += 15 * (len(instr.targets) // 2)
+        # ufunc.at, so that faults hitting one shot all land
+        for row, key in zip(acc, keys):
+            np.bitwise_xor.at(row, shot, key[fault])
+    return acc
+
+
 class _PointEngine:
-    """Per-point compiled state: circuit, decoder, check and logical rows."""
+    """Per-point compiled state: circuit, decoder and one key per basis fault.
+
+    keys[w, f] is word w of fault f's key, syndrome | parity << m for the m
+    checks of the decoder's CheckMatrix, in W = m // 64 + 1 words.
+    """
 
     def __init__(self, variant: str, scheme: str, target: str, d: int, p: float):
         self.code = build_code(CodeVariant(variant), d)
         self.circuit = generate_circuit(variant, d, scheme, target, p)
         self.decoder = SyndromeDecoder(self.code, target)
-        self.matrix = self.decoder.matrix
-        # syndrome bit i is the XOR of frame rows
-        # check_rows[check_starts[i]:check_starts[i + 1]]
-        self.check_rows = np.concatenate(self.matrix.supports)
-        self.check_starts = np.cumsum([0] + [len(s) for s in self.matrix.supports[:-1]])
-        self.logical_rows = np.array(self.matrix.logical_support)
+        self.m = len(self.decoder.matrix.rows)
+        words = self.m // 64 + 1
+        keys = fault_keys(self.circuit, self.decoder.matrix)
+        raw = b"".join(key.to_bytes(8 * words, "little") for key in keys)
+        self.keys = np.frombuffer(raw, dtype="<u8").reshape(-1, words).T.copy()
 
     def count_chunk_failures(self, shots: int, rng: np.random.Generator) -> int:
-        fx, fz = sample_packed_frames(self.circuit, shots, rng)
-        frame = self.matrix.read(fx, fz)
-        syn = np.bitwise_xor.reduceat(frame[self.check_rows], self.check_starts, axis=0)
-        lpar = unpack_shots(np.bitwise_xor.reduce(frame[self.logical_rows], axis=0), shots)
-        flagged = unpack_shots(np.bitwise_or.reduce(syn, axis=0), shots)
+        syn = sample_fault_keys(self.circuit, self.keys, shots, rng)
+        word, bit = divmod(self.m, 64)
+        parity_bit = np.uint64(1) << np.uint64(bit)
+        # bit m is the top bit of its word, so the word reaches parity_bit
+        # exactly when the parity is set
+        parity = syn[word] >= parity_bit
+        syn[word] &= ~parity_bit
+        # an index array, not a boolean mask: indexing by a mask that picks
+        # about one shot in three costs several times more
+        hit = np.flatnonzero(syn.any(axis=0))
+        flagged = parity[hit]
         # an empty syndrome decodes to no correction: failure iff parity set
-        failures = int((lpar & ~flagged).sum())
-        shot_idx = np.flatnonzero(flagged)
-        syn_bits = unpack_shots(syn, shots)[:, shot_idx]
-        packed = np.packbits(syn_bits.T, axis=1, bitorder="little")
-        # one opaque key per row: a 1-D sort, much cheaper than axis=0
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        uniq, inv = np.unique(keys, return_inverse=True)
-        corr_lpar = np.empty(len(uniq), dtype=bool)
-        for i, row in enumerate(uniq):
-            syndrome = int.from_bytes(row.tobytes(), "little")
-            corr_lpar[i] = self.decoder.decode_syndrome(syndrome)
-        return failures + int((lpar[shot_idx] ^ corr_lpar[inv]).sum())
+        failures = np.count_nonzero(parity) - np.count_nonzero(flagged)
+        syn = syn[:, hit]
+        if len(syn) == 1:
+            # a plain integer sort, several times cheaper than void keys
+            uniq, inv = np.unique(syn[0], return_inverse=True)
+            syndromes = uniq.tolist()
+        else:
+            rows = np.ascontiguousarray(syn.T)
+            rows = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
+            uniq, inv = np.unique(rows, return_inverse=True)
+            syndromes = [int.from_bytes(row.tobytes(), "little") for row in uniq]
+        decode = self.decoder.decode_syndrome
+        corr = np.array([decode(s) for s in syndromes], dtype=bool)
+        return int(failures + np.count_nonzero(flagged ^ corr[inv]))
 
 
 # a run visits its points in order, so a few engines serve all its chunks
@@ -225,7 +285,8 @@ def resolve_workers(workers: int | None) -> int:
     if workers is not None:
         return workers
     raw = os.environ.get("SURFENC_WORKERS", "1")
-    if not raw.strip().isdigit() or int(raw) < 1:
+    # str.isdigit alone accepts digits such as "²" that int() rejects
+    if not (raw.strip().isascii() and raw.strip().isdigit()) or int(raw) < 1:
         raise ValueError(f"SURFENC_WORKERS must be an integer >= 1, got {raw!r}")
     return int(raw)
 

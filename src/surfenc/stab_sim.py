@@ -12,6 +12,10 @@ Three independent execution routes over the same circuit IR:
 * sample_packed_frames: packed, sparse-noise Pauli-frame Monte Carlo;
   returns the accumulated X and Z frame components at the end of the
   circuit, 64 shots per uint64 word.  sample_final_frames unpacks them.
+  It is the reference for the Monte Carlo harness, not its hot path: the
+  harness XORs per-fault syndrome keys instead of propagating frames, and
+  both take their noise from noise_draws, so for one rng they see the same
+  faults in the same shots.
 
 Conventions: qubit q's X/Z component is bit q of an integer mask
 (PauliString), column q of a bool array (tableau, unpacked frames) or row q
@@ -303,6 +307,24 @@ def _sample_hits(
     return np.divmod(flat, shots)
 
 
+def noise_draws(
+    instr: Instruction, shots: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The random draws of one noise instruction over `shots` shots.
+
+    Returns (site, shot, k): the hit sites (an index into the targets of a
+    flip channel or into the pairs of DEPOLARIZE2), the shot of each hit
+    and, for DEPOLARIZE2, one Pauli k in 1..15 per hit (None for a flip
+    channel).  Every sampler takes its noise from here, so that samplers
+    handed equal generators consume them identically.
+    """
+    pairwise = instr.name == "DEPOLARIZE2"
+    sites = len(instr.targets) // 2 if pairwise else len(instr.targets)
+    site, shot = _sample_hits(rng, sites, shots, instr.arg)
+    k = rng.integers(1, 16, len(site)) if pairwise else None
+    return site, shot, k
+
+
 # DEPOLARIZE2 Pauli k in 1..15, bits most significant first: X on a, Z on a,
 # X on b, Z on b.  Bit j of that order is frame component j % 2 (0 = X,
 # 1 = Z) on pair side j // 2.
@@ -318,10 +340,11 @@ def sample_packed_frames(
     is bit s % 64 of word [q, s // 64], and the padding bits past `shots`
     stay zero.  The frame is the accumulated Pauli error relative to the
     noiseless run.  A CX is two row XORs and a reset zeroes two rows;
-    measurements leave the frame untouched.  Noise is sampled sparsely: a
-    noise instruction draws its hit count, then the distinct hit positions
-    over its sites x shots, then (for DEPOLARIZE2) one Pauli in 1..15 per
-    hit, so the draws scale with the number of errors, not of shots.
+    measurements leave the frame untouched.  Noise is sampled sparsely by
+    noise_draws: a noise instruction draws its hit count, then the
+    distinct hit positions over its sites x shots, then (for DEPOLARIZE2)
+    one Pauli in 1..15 per hit, so the draws scale with the number of
+    errors, not of shots.
     """
     n = circuit.n_qubits
     words = (shots + 63) // 64
@@ -345,13 +368,11 @@ def sample_packed_frames(
         elif name in ("M", "MX"):
             pass
         elif name in ("X_ERROR", "Z_ERROR"):
-            targets = np.array(instr.targets)
-            site, shot = _sample_hits(rng, len(targets), shots, instr.arg)
-            flip(0 if name == "X_ERROR" else 1, targets[site], shot)
+            site, shot, _ = noise_draws(instr, shots, rng)
+            flip(0 if name == "X_ERROR" else 1, np.array(instr.targets)[site], shot)
         elif name == "DEPOLARIZE2":
+            site, shot, k = noise_draws(instr, shots, rng)
             pairs = np.array(instr.targets).reshape(-1, 2)
-            site, shot = _sample_hits(rng, len(pairs), shots, instr.arg)
-            k = rng.integers(1, 16, len(site))
             hit, j = np.nonzero((k[:, None] >> _DEPOL_SHIFTS) & 1)
             flip(j % 2, pairs[site[hit], j // 2], shot[hit])
         else:

@@ -128,6 +128,8 @@ def test_circuit_commands_reject_bad_distance_and_p(command, extra, capsys):
         (["--shots", "0"], None, "shots"),
         ([], {"distances": [3], "colour": "red"}, "unknown config keys"),
         ([], {"distances": []}, "distances must not be empty"),
+        ([], {"distances": 5}, "distances must be a sequence"),
+        ([], {"distances": [3], "noise_strengths": 0.01}, "noise_strengths must be a sequence"),
     ],
 )
 def test_simulate_rejects_bad_config_in_one_line(tmp_path, capsys, args, config, needle):

@@ -9,7 +9,7 @@ from surfenc.circuit_ir import Circuit, Instruction
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.encoders import Scheme, Target, build_plan, generate_circuit, scramble_plan
 from surfenc.decoder import CheckMatrix, SyndromeDecoder
-from surfenc.fault_analysis import analyze_faults, backward_images, hook_catalogue
+from surfenc.fault_analysis import analyze_faults, backward_images, fault_keys, hook_catalogue
 from surfenc.encoders import plan_to_circuit
 from surfenc.stab_sim import PauliString
 
@@ -80,6 +80,27 @@ def test_backward_images_match_forward_propagation(variant, scheme, target):
         for f in group:
             want = _forward_residual(circuit, flat, pos, qubits, f.basis)
             assert (f.res_x, f.res_z) == want, f.site.describe(f.basis)
+
+
+@pytest.mark.parametrize("variant", list(CodeVariant))
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("target", list(Target))
+@pytest.mark.parametrize("complementary", [False, True])
+def test_key_space_pass_gives_syndrome_and_parity(variant, scheme, target, complementary):
+    # the pass in a check matrix's key space equals the unit-mask residuals
+    # judged one by one through that matrix
+    code = build_code(variant, 3)
+    circuit = generate_circuit(variant, 3, scheme, target, 1e-3)
+    matrix = CheckMatrix.of(code, target, scheme, complementary)
+    m = len(matrix.rows)
+    want = []
+    for f in backward_images(circuit):
+        res = matrix.read(f.res_x, f.res_z)
+        want.append(matrix.syndrome(res) | matrix.logical_parity(res) << m)
+    keyed = backward_images(circuit, matrix.key_images(circuit.n_qubits))
+    assert [matrix.read(f.res_x, f.res_z) for f in keyed] == want
+    assert fault_keys(circuit, matrix) == want
+    assert any(key >> m for key in want) and any(key & ((1 << m) - 1) for key in want)
 
 
 def test_single_qubit_flip_sites_have_matching_basis():

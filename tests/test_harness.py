@@ -24,7 +24,7 @@ from surfenc.harness import (
     wilson_interval,
     write_results_csv,
 )
-from surfenc.stab_sim import sample_final_frames
+from surfenc.stab_sim import sample_final_frames, sample_packed_frames
 
 
 def test_wilson_against_statsmodels():
@@ -71,6 +71,9 @@ def test_wilson_interval_properties():
     assert hi == 1.0 and lo > 0.99
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    for failures in (11, -1):
+        with pytest.raises(ValueError, match="failures"):
+            wilson_interval(failures, 10)
 
 
 def test_chunk_rng_streams_are_stable_and_distinct():
@@ -125,6 +128,9 @@ def test_config_validation_and_roundtrip():
         ("noise_strengths", (0.01, None)),
         ("distances", ()),
         ("noise_strengths", ()),
+        ("distances", 5),
+        ("distances", "35"),
+        ("noise_strengths", 1e-3),
     ],
 )
 def test_config_rejects_out_of_range_value(field, value):
@@ -159,7 +165,7 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers(3) == 3
     monkeypatch.setenv("SURFENC_WORKERS", "5")
     assert resolve_workers(None) == 5
-    for bad in ("0", "-3", "two", "1.5", ""):
+    for bad in ("0", "-3", "two", "1.5", "", "²"):
         monkeypatch.setenv("SURFENC_WORKERS", bad)
         with pytest.raises(ValueError, match="SURFENC_WORKERS"):
             resolve_workers(None)
@@ -225,6 +231,47 @@ def test_failure_count_matches_per_shot_decoding_on_multibyte_syndromes(
     assert res.failures == direct
     assert res.failures > 0
     assert top_bit > checks - 8  # the last byte of the syndrome is in use
+
+
+def _frame_keys(matrix, circuit, shots, rng):
+    """Per-shot syndrome | parity << m of sample_packed_frames' frames,
+    read through the CheckMatrix one shot at a time."""
+    m = len(matrix.rows)
+    frame = matrix.read(*sample_packed_frames(circuit, shots, rng))
+    keys = []
+    for s in range(shots):
+        word, bit = divmod(s, 64)
+        mask = sum(1 << q for q in range(circuit.n_qubits) if int(frame[q, word]) >> bit & 1)
+        keys.append(matrix.syndrome(mask) | matrix.logical_parity(mask) << m)
+    return keys
+
+
+_KEY_SAMPLER_CASES = [
+    (variant, 3, scheme, target)
+    for variant in ("rotated", "unrotated")
+    for scheme in ("ue", "uea", "me")
+    for target in ("zero", "plus")
+] + [("unrotated", 9, "uea", "zero")]
+
+
+@pytest.mark.parametrize("p", [1e-2, 1.0])
+@pytest.mark.parametrize("variant, d, scheme, target", _KEY_SAMPLER_CASES)
+def test_fault_key_sampler_equals_the_frame_sampler_shot_for_shot(variant, d, scheme, target, p):
+    # second route for the Monte Carlo sampler: on one rng stream, every
+    # shot's syndrome and parity equal those of its propagated frame
+    engine = harness._PointEngine(variant, scheme, target, d, p)
+    shots = 200
+    rng_keys, rng_frames = chunk_rng(3, 1, 2), chunk_rng(3, 1, 2)
+    sampled = harness.sample_fault_keys(engine.circuit, engine.keys, shots, rng_keys)
+    got = [int.from_bytes(col.tobytes(), "little") for col in np.ascontiguousarray(sampled.T)]
+    want = _frame_keys(engine.decoder.matrix, engine.circuit, shots, rng_frames)
+    assert got == want
+    # both consumed the stream alike, and the shots carry syndromes
+    assert rng_keys.integers(1 << 62) == rng_frames.integers(1 << 62)
+    assert sum(key != 0 for key in got) > shots // 20
+    assert sampled.shape == (len(engine.decoder.matrix.rows) // 64 + 1, shots)
+    if d == 9:
+        assert sampled.shape[0] == 2 and max(got).bit_length() > 64
 
 
 def test_results_identical_across_worker_counts():
