@@ -19,8 +19,8 @@ import json
 import sys
 
 from .circuit_ir import Circuit
-from .code_model import CodeVariant, build_code
-from .encoders import Scheme, Target, generate_circuit
+from .code_model import CodeVariant, build_code, validate_distance
+from .encoders import Scheme, Target, generate_circuit, noise_strength
 from .fault_analysis import analyze_faults
 from .harness import (
     ExperimentConfig,
@@ -31,18 +31,22 @@ from .harness import (
 )
 
 
-def _distance(text: str) -> int:
-    d = int(text)
-    if d < 3 or d % 2 == 0:
-        raise argparse.ArgumentTypeError(f"distance must be an odd integer >= 3, got {d}")
-    return d
+def _argument(parse, rule):
+    """An argparse type: rule(parse(text)), reporting rule's ValueError as is."""
+
+    def convert(text: str):
+        value = parse(text)  # argparse reports its ValueError as "invalid int value"
+        try:
+            return rule(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    convert.__name__ = parse.__name__
+    return convert
 
 
-def _probability(text: str) -> float:
-    p = float(text)
-    if not 0.0 <= p <= 1.0:
-        raise argparse.ArgumentTypeError(f"noise strength must be in [0, 1], got {p}")
-    return p
+_distance = _argument(int, validate_distance)
+_probability = _argument(float, noise_strength)
 
 
 def _add_circuit_args(p: argparse.ArgumentParser) -> None:
@@ -145,7 +149,14 @@ def _load_config(args) -> ExperimentConfig:
     payload: dict = {}
     if args.config:
         with open(args.config) as fh:
-            payload.update(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text at all
+                raise ValueError(f"{args.config}: a config is a JSON object; {exc}") from None
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"{args.config}: a config is a JSON object, got {type(payload).__name__}"
+            )
     if args.variant:
         payload["variant"] = args.variant
     if args.scheme:

@@ -21,6 +21,7 @@ weight-2 Z checks on the top/bottom.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -94,23 +95,19 @@ class SurfaceCode:
         raise ValueError(f"check kind must be 'X' or 'Z', got {kind!r}")
 
 
-def _validate_distance(d: int) -> None:
-    if not isinstance(d, int) or isinstance(d, bool):
+def validate_distance(d) -> int:
+    """d as a Python int; anything but an odd integer >= 3 raises ValueError."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 3 or d % 2 == 0:
         raise ValueError(f"distance must be an odd integer >= 3, got {d!r}")
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"distance must be an odd integer >= 3, got {d}")
+    return int(d)
 
 
 def build_code(variant: CodeVariant | str, d: int) -> SurfaceCode:
     """Construct the lattice, checks, and logicals for the given variant."""
-    if isinstance(variant, str):
-        variant = CodeVariant(variant)
-    _validate_distance(d)
-    if variant is CodeVariant.ROTATED:
+    d = validate_distance(d)
+    if CodeVariant(variant) is CodeVariant.ROTATED:
         return _build_rotated(d)
-    if variant is CodeVariant.UNROTATED:
-        return _build_unrotated(d)
-    raise ValueError(f"unknown code variant: {variant!r}")
+    return _build_unrotated(d)
 
 
 def _build_rotated(d: int) -> SurfaceCode:

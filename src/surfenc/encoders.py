@@ -33,6 +33,7 @@ does so deliberately to produce a negative control).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -192,6 +193,15 @@ def scramble_plan(plan: EncodingPlan) -> EncodingPlan:
     return replace(plan, stages=stages)
 
 
+def noise_strength(p, name: str = "p") -> float:
+    """p as a Python float; a bool, a non-real or a value outside [0, 1] raises ValueError."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {p!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"noise strength must be in [0, 1], got {p}")
+    return float(p)
+
+
 def _noisy_reset_layer(groups: list[tuple[str, list[int]]], p: float) -> list[Instruction]:
     layer = []
     for basis, qubits in groups:
@@ -213,6 +223,7 @@ def plan_to_circuit(plan: EncodingPlan, p: float) -> Circuit:
     even at p = 0 so that fault enumeration sees the same site structure at
     every noise strength.
     """
+    p = noise_strength(p)
     code = plan.code
     kind = plan.kind
     zero = plan.target is Target.ZERO
@@ -243,7 +254,7 @@ def plan_to_circuit(plan: EncodingPlan, p: float) -> Circuit:
         "distance": str(code.d),
         "scheme": plan.scheme.value,
         "target": plan.target.value,
-        "p": repr(float(p)),
+        "p": repr(p),
     }
     return Circuit(n_qubits=code.n_qubits, layers=layers, metadata=meta)
 
@@ -256,13 +267,8 @@ def generate_circuit(
     p: float,
     scrambled: bool = False,
 ) -> Circuit:
-    variant = CodeVariant(variant) if isinstance(variant, str) else variant
-    scheme = Scheme(scheme) if isinstance(scheme, str) else scheme
-    target = Target(target) if isinstance(target, str) else target
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise strength must be in [0, 1], got {p}")
     code = build_code(variant, d)
-    plan = build_plan(code, scheme, target)
+    plan = build_plan(code, Scheme(scheme), Target(target))
     if scrambled:
         plan = scramble_plan(plan)
     circuit = plan_to_circuit(plan, p)

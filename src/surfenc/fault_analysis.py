@@ -11,14 +11,17 @@ gives the residuals themselves, started from a linear map of the final
 residual (such as CheckMatrix.key_images) it gives that map of every
 residual, at the same cost.
 
+backward_images returns the sweep as one FaultTable: the fault sites, and
+per basis fault its site, its Pauli label and the images of its residual.
 A residual is judged by the target's CheckMatrix (decoder.py) through its
 key, syndrome | logical parity << m for m detecting checks, a Python int of
-any width.  The sweep runs in key space, so it returns every fault's key
-directly; the Monte Carlo harness samples from the same keys.  A
-combination fails if after minimum-weight matching the corrected residual
-still flips the protected logical.  The complementary analysis uses the dual
-target's matrix, which for measurement-based circuits also reads the
-measured ancillas' outcome flips.
+any width.  Run in key space, the table holds every fault's key, read as
+matrix.read(res_x, res_z); the enumeration below and the Monte Carlo
+harness both take their keys from it that way.  A combination fails if
+after minimum-weight matching the corrected residual still flips the
+protected logical.  The complementary analysis uses the dual target's
+matrix, which for measurement-based circuits also reads the measured
+ancillas' outcome flips.
 
 A fault's class is its key, that is (syndrome, logical parity); the U
 distinct syndromes are decoded once, so there are at most 2U classes.  Since
@@ -35,6 +38,7 @@ basis faults.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +54,16 @@ _PAIR_BASES = tuple(
     (pauli_letter(xa, za) + pauli_letter(xb, zb), xa, za, xb, zb)
     for xa, za, xb, zb in itertools.product((0, 1), repeat=4)
 )[1:]
+_PAIR_LABELS = tuple(label for label, *_ in _PAIR_BASES)
+# per basis fault, the index 2 * on_a + on_b of its X part and of its Z part
+_PAIR_X = operator.itemgetter(*(2 * xa + xb for _, xa, _, xb, _ in _PAIR_BASES))
+_PAIR_Z = operator.itemgetter(*(2 * za + zb for _, _, za, _, zb in _PAIR_BASES))
 
 
 @dataclass(frozen=True)
 class FaultSite:
     """One elementary noise channel: a flip qubit or a depolarizing pair."""
 
-    index: int
     layer: int
     channel: str
     qubits: tuple[int, ...]
@@ -67,62 +74,35 @@ class FaultSite:
 
 
 @dataclass(frozen=True)
-class BasisFault:
-    site: FaultSite
-    basis: str
-    res_x: int
-    res_z: int
+class FaultTable:
+    """Every basis fault of a circuit in reading order, as columns.
+
+    Entry f of site, basis, res_x and res_z is basis fault f's index into
+    sites, its Pauli label and the images of its residual's X and Z parts.
+    """
+
+    sites: tuple[FaultSite, ...]
+    site: list[int]
+    basis: list[str]
+    res_x: list[int]
+    res_z: list[int]
+
+    def describe(self, f: int) -> str:
+        return self.sites[self.site[f]].describe(self.basis[f])
 
 
-def backward_images(
-    circuit: Circuit, images: tuple[list[int], list[int]] | None = None
-) -> list[BasisFault]:
+def backward_images(circuit: Circuit, images: tuple[list[int], list[int]]) -> FaultTable:
     """All single basis faults with the images of their end-of-circuit residuals.
 
     images = (img_x, img_z) gives the image of an X and of a Z on each
-    qubit at the end of the circuit, as ints in any image space.  The
-    default unit masks (bit q for qubit q) make res_x and res_z the
-    residual's X and Z masks; CheckMatrix.key_images makes
-    read(res_x, res_z) the residual's key.
+    qubit at the end of the circuit, as ints in any image space.  Unit
+    masks (bit q for qubit q) make res_x and res_z the residual's X and Z
+    masks; CheckMatrix.key_images makes read(res_x, res_z) the residual's
+    key.
     """
-    if images is None:
-        unit = [1 << q for q in range(circuit.n_qubits)]
-        images = (unit, unit)
-    recorded = list(_backward_sweep(circuit, *images))
-    recorded.reverse()
-    out: list[BasisFault] = []
-    for idx, (layer, channel, qubits, faults) in enumerate(recorded):
-        site = FaultSite(idx, layer, channel, qubits)
-        for basis, rx, rz in faults:
-            out.append(BasisFault(site, basis, rx, rz))
-    return out
-
-
-def fault_keys(circuit: Circuit, matrix: CheckMatrix) -> list[int]:
-    """The key of every basis fault, in the order of backward_images.
-
-    The same pass in the matrix's key space, without the fault objects
-    that a Monte Carlo sampler does not need: with one object per fault
-    the 18 rotated points of d <= 7 took about four times as long (74
-    against 18 ms on a 2-core Xeon VM), over half of the extra in the
-    cyclic garbage collector.
-    """
-    keys: list[int] = []
-    for *_, faults in _backward_sweep(circuit, *matrix.key_images(circuit.n_qubits)):
-        keys.extend(matrix.read(rx, rz) for _, rx, rz in reversed(faults))
-    keys.reverse()
-    return keys
-
-
-def _backward_sweep(circuit: Circuit, img_x: list[int], img_z: list[int]):
-    """The backward pass, yielding (layer, channel, qubits, faults) per site.
-
-    Sites come last first, so that one reverse of the whole sequence puts
-    them in forward reading order; faults lists (basis, res_x, res_z) per
-    basis fault.  img_x and img_z are the images at the end of the circuit;
-    the sweep works on copies.
-    """
-    img_x, img_z = list(img_x), list(img_z)
+    img_x, img_z = list(images[0]), list(images[1])
+    # (site, labels, res_x, res_z) per site, last site first
+    recorded = []
     for layer, instr in reversed(list(circuit.instructions())):
         name = instr.name
         if name == "CX":
@@ -143,20 +123,29 @@ def _backward_sweep(circuit: Circuit, img_x: list[int], img_z: list[int]):
                 img_x[q] = 0
         elif name == "DEPOLARIZE2":
             for a, b in reversed(instr.pairs()):
-                faults = []
-                for basis, xa, za, xb, zb in _PAIR_BASES:
-                    rx = (img_x[a] if xa else 0) ^ (img_x[b] if xb else 0)
-                    rz = (img_z[a] if za else 0) ^ (img_z[b] if zb else 0)
-                    faults.append((basis, rx, rz))
-                yield layer, name, (a, b), faults
+                ax, bx, az, bz = img_x[a], img_x[b], img_z[a], img_z[b]
+                recorded.append((
+                    FaultSite(layer, name, (a, b)),
+                    _PAIR_LABELS,
+                    _PAIR_X((0, bx, ax, ax ^ bx)),
+                    _PAIR_Z((0, bz, az, az ^ bz)),
+                ))
         elif name == "X_ERROR":
             for q in reversed(instr.targets):
-                yield layer, name, (q,), [("X", img_x[q], 0)]
+                recorded.append((FaultSite(layer, name, (q,)), ("X",), (img_x[q],), (0,)))
         elif name == "Z_ERROR":
             for q in reversed(instr.targets):
-                yield layer, name, (q,), [("Z", 0, img_z[q])]
+                recorded.append((FaultSite(layer, name, (q,)), ("Z",), (0,), (img_z[q],)))
         else:
             raise ValueError(f"unsupported instruction {name}")
+    recorded.reverse()
+    site, basis, res_x, res_z = [], [], [], []
+    for i, (_, labels, rx, rz) in enumerate(recorded):
+        site += [i] * len(labels)
+        basis += labels
+        res_x += rx
+        res_z += rz
+    return FaultTable(tuple(s for s, *_ in recorded), site, basis, res_x, res_z)
 
 
 @dataclass
@@ -198,7 +187,7 @@ def analyze_faults(
     complementary: bool = False,
     decoder: SyndromeDecoder | None = None,
 ) -> FaultReport:
-    """Exhaustively test all fault combinations up to max_weight (1 or 2).
+    """Exhaustively test all fault combinations up to max_weight, the int 1 or 2.
 
     Pairs combine basis faults from two distinct sites (two faults inside
     one depolarizing channel are mutually exclusive outcomes of a single
@@ -207,8 +196,8 @@ def analyze_faults(
     code's qubit count, and any variant, distance, scheme or target header
     it carries must agree with the arguments.
     """
-    if max_weight not in (1, 2):
-        raise ValueError("max_weight must be 1 or 2")
+    if type(max_weight) is not int or max_weight not in (1, 2):
+        raise ValueError(f"max_weight must be 1 or 2, got {max_weight!r}")
     target, scheme = Target(target), Scheme(scheme)
     if circuit.n_qubits != code.n_qubits:
         raise ValueError(
@@ -230,8 +219,7 @@ def analyze_faults(
         decoder = SyndromeDecoder(code, matrix.target.value)
     elif decoder.matrix.target is not matrix.target:
         raise ValueError(f"the decoder must protect {matrix.target.value!r}")
-    faults = backward_images(circuit, matrix.key_images(circuit.n_qubits))
-    n_sites = len({f.site.index for f in faults})
+    table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
 
     # A fault's class is its key, numbered in order of first appearance, and
     # syndromes are numbered the same way.
@@ -239,8 +227,7 @@ def analyze_faults(
     index: dict[int, int] = {}
     classes: dict[int, int] = {}
     cls = []
-    for f in faults:
-        key = matrix.read(f.res_x, f.res_z)
+    for key in map(matrix.read, table.res_x, table.res_z):
         c = classes.get(key)
         if c is None:
             c = classes[key] = len(classes)
@@ -252,30 +239,27 @@ def analyze_faults(
     syn = np.array([index[key & ~(1 << m)] for key in classes], dtype=np.intp)
     parity = np.array([key >> m for key in classes], dtype=np.uint8)
 
-    failing: list[tuple[str, ...]] = []
-    for i in np.flatnonzero((parity ^ corr[syn])[cls]):
-        f = faults[i]
-        failing.append((f.site.describe(f.basis),))
+    failing = [(table.describe(f),) for f in np.flatnonzero((parity ^ corr[syn])[cls])]
 
     if max_weight == 2:
         # syndrome and parity are linear in the residual, so a pair's fate
         # depends on its two classes alone
         decode = decoder.decode_syndrome
-        table = np.zeros((len(uniq), len(uniq)), dtype=np.uint8)
+        decoded = np.zeros((len(uniq), len(uniq)), dtype=np.uint8)
         for a, sa in enumerate(uniq):
-            table[a, a:] = [decode(sa ^ sb) for sb in uniq[a:]]
-        table |= table.T
-        class_fail = parity[:, None] ^ parity[None, :] ^ table[syn[:, None], syn[None, :]]
+            decoded[a, a:] = [decode(sa ^ sb) for sb in uniq[a:]]
+        decoded |= decoded.T
+        class_fail = parity[:, None] ^ parity[None, :] ^ decoded[syn[:, None], syn[None, :]]
         class_fail = class_fail.view(bool)
         # expand to fault pairs only the faults whose class has a failing
         # partner class
         involved = np.flatnonzero(class_fail.any(axis=1)[cls])
         if len(involved):
             sub = cls[involved]
-            sites = np.array([faults[i].site.index for i in involved])
+            sites = np.array(table.site)[involved]
             fail = class_fail[sub[:, None], sub[None, :]]
             fail &= sites[:, None] != sites[None, :]
-            text = [faults[i].site.describe(faults[i].basis) for i in involved]
+            text = [table.describe(f) for f in involved]
             for i, j in zip(*np.nonzero(np.triu(fail, k=1))):
                 failing.append((text[i], text[j]))
 
@@ -290,8 +274,8 @@ def analyze_faults(
         target=target.value,
         analysis="complementary" if complementary else "protected",
         max_weight_checked=max_weight,
-        n_sites=n_sites,
-        n_basis_faults=len(faults),
+        n_sites=len(table.sites),
+        n_basis_faults=len(table.site),
         failing_combinations=failing,
         certified_fault_distance_lower_bound=bound,
     )

@@ -7,13 +7,14 @@ are bit-identical no matter how chunks are distributed over workers.
 
 A shot's syndrome and logical parity are linear in its faults, so no qubit
 is simulated.  Per point, one backward pass in the key space of the target's
-CheckMatrix (fault_analysis.fault_keys) gives every basis fault its key,
-syndrome | logical parity << m for m checks, held in W = ceil((m+1)/64)
-uint64 words.  Per chunk, each noise instruction draws its hits through
-stab_sim.noise_draws, as the frame sampler does, and bitwise_xor.at XORs
-the keys of the hit faults into their shots.  Shots with an empty syndrome
-are counted directly, each distinct nonempty syndrome is decoded once, and
-a shot fails when its parity differs from its correction's.
+CheckMatrix (fault_analysis.backward_images, the same table the exhaustive
+enumeration reads) gives every basis fault its key, syndrome | logical
+parity << m for m checks, held in W = ceil((m+1)/64) uint64 words.  Per
+chunk, each noise instruction draws its hits through stab_sim.noise_draws,
+as the frame sampler does, and bitwise_xor.at XORs the keys of the hit
+faults into their shots.  Shots with an empty syndrome are counted
+directly, each distinct nonempty syndrome is decoded once, and a shot
+fails when its parity differs from its correction's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import csv
 import functools
 import math
 import multiprocessing
-import numbers
 import operator
 import os
 from dataclasses import dataclass, field, asdict
@@ -32,10 +32,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .circuit_ir import Circuit
-from .code_model import CodeVariant, build_code
+from .code_model import CodeVariant, build_code, validate_distance
 from .decoder import SyndromeDecoder
-from .encoders import Scheme, Target, generate_circuit
-from .fault_analysis import fault_keys
+from .encoders import Scheme, Target, generate_circuit, noise_strength
+from .fault_analysis import backward_images
 from .stab_sim import noise_draws
 
 # sample_final_frames stays importable from here: perfbench/rep.py wraps
@@ -77,13 +77,6 @@ def _sequence(name: str, value) -> tuple:
     return tuple(value)
 
 
-def _real(name: str, value) -> float:
-    """value as a float; bools, strings and other non-reals raise ValueError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     variant: str = "rotated"
@@ -99,10 +92,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.distances = tuple(
-            _integer("distances", d) for d in _sequence("distances", self.distances)
+            validate_distance(_integer("distances", d))
+            for d in _sequence("distances", self.distances)
         )
         self.noise_strengths = tuple(
-            _real("noise_strengths", p) for p in _sequence("noise_strengths", self.noise_strengths)
+            noise_strength(p, "noise_strengths")
+            for p in _sequence("noise_strengths", self.noise_strengths)
         )
         self.shots = _integer("shots", self.shots)
         self.seed = _integer("seed", self.seed)
@@ -121,12 +116,6 @@ class ExperimentConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.min_failures is not None and self.min_failures <= 0:
             raise ValueError(f"min_failures must be positive, got {self.min_failures}")
-        for d in self.distances:
-            if d < 3 or d % 2 == 0:
-                raise ValueError(f"distance must be an odd integer >= 3, got {d}")
-        for p in self.noise_strengths:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"noise strength must be in [0, 1], got {p}")
         for name in ("distances", "noise_strengths"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -192,7 +181,7 @@ def sample_fault_keys(
     """Per shot, the XOR of the keys of the basis faults that hit it.
 
     keys is word-major, (W, F) uint64: column f belongs to basis fault f of
-    backward_images(circuit), in the order fault_analysis.fault_keys gives.
+    the circuit's fault_analysis.backward_images table.
     The result is (W, shots) in the same layout.  The draws come from
     stab_sim.noise_draws, so for an equal rng column s is the linear map
     behind keys applied to shot s of sample_packed_frames.
@@ -226,9 +215,11 @@ class _PointEngine:
         self.code = build_code(CodeVariant(variant), d)
         self.circuit = generate_circuit(variant, d, scheme, target, p)
         self.decoder = SyndromeDecoder(self.code, target)
-        self.m = len(self.decoder.matrix.rows)
+        matrix = self.decoder.matrix
+        self.m = len(matrix.rows)
         words = self.m // 64 + 1
-        keys = fault_keys(self.circuit, self.decoder.matrix)
+        table = backward_images(self.circuit, matrix.key_images(self.circuit.n_qubits))
+        keys = map(matrix.read, table.res_x, table.res_z)
         raw = b"".join(key.to_bytes(8 * words, "little") for key in keys)
         self.keys = np.frombuffer(raw, dtype="<u8").reshape(-1, words).T.copy()
 

@@ -130,13 +130,17 @@ def test_circuit_commands_reject_bad_distance_and_p(command, extra, capsys):
         ([], {"distances": []}, "distances must not be empty"),
         ([], {"distances": 5}, "distances must be a sequence"),
         ([], {"distances": [3], "noise_strengths": 0.01}, "noise_strengths must be a sequence"),
+        # a bytes config is written as given
+        ([], b"[3, 5]", "cfg.json: a config is a JSON object"),
+        ([], b"{distances: [3]}", "cfg.json: a config is a JSON object"),
+        ([], b"\xff{", "cfg.json: a config is a JSON object"),
     ],
 )
 def test_simulate_rejects_bad_config_in_one_line(tmp_path, capsys, args, config, needle):
     argv = ["simulate", "--variant", "rotated", "--scheme", "ue", *args]
     if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
     captured = capsys.readouterr()

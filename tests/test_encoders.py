@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from surfenc.circuit_ir import Instruction
+from surfenc.circuit_ir import Circuit, Instruction
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.encoders import (
     Scheme,
@@ -267,6 +267,45 @@ def test_generate_circuit_input_validation():
         generate_circuit("rotated", 3, "ue", "diag", 0.0)
     with pytest.raises(ValueError):
         generate_circuit("rotated", 3, "ue", "zero", 1.5)
+
+
+def test_noise_strength_is_stored_as_a_python_float():
+    # a numpy float writes the same text as the equal float, which parses back
+    text = generate_circuit("rotated", 3, "ue", "zero", 1e-3).to_text()
+    numpy_text = generate_circuit("rotated", 3, "ue", "zero", np.float64(1e-3)).to_text()
+    assert numpy_text == text
+    assert Circuit.from_text(numpy_text).to_text() == text
+    for bad in (True, "1e-3", None):
+        with pytest.raises(ValueError, match="real number"):
+            generate_circuit("rotated", 3, "ue", "zero", bad)
+
+
+# the largest doubled-grid L1 distance between the two qubits of a CX, per
+# variant and scheme: the same at every distance
+_CX_REACH = {
+    ("rotated", "ue"): 4,
+    ("rotated", "uea"): 2,
+    ("rotated", "me"): 2,
+    ("unrotated", "ue"): 2,
+    ("unrotated", "uea"): 1,
+    ("unrotated", "me"): 1,
+}
+
+
+@pytest.mark.parametrize("variant, scheme", sorted(_CX_REACH))
+def test_gates_are_geometrically_local(variant, scheme):
+    for d in (3, 5, 7, 9, 11):
+        code = build_code(variant, d)
+        for target in Target:
+            circuit = generate_circuit(variant, d, scheme, target, 0.0)
+            reach = max(
+                abs(code.qubits[a].row - code.qubits[b].row)
+                + abs(code.qubits[a].col - code.qubits[b].col)
+                for _, instr in circuit.instructions()
+                if instr.name == "CX"
+                for a, b in instr.pairs()
+            )
+            assert reach == _CX_REACH[variant, scheme], (d, target)
 
 
 # sha256 of generate_circuit(variant, d, scheme, target, 1e-3, scrambled).to_text(),

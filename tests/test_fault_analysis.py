@@ -9,9 +9,16 @@ from surfenc.circuit_ir import Circuit, Instruction
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.encoders import Scheme, Target, build_plan, generate_circuit, scramble_plan
 from surfenc.decoder import CheckMatrix, SyndromeDecoder
-from surfenc.fault_analysis import analyze_faults, backward_images, fault_keys, hook_catalogue
+from surfenc.fault_analysis import analyze_faults, backward_images, hook_catalogue
 from surfenc.encoders import plan_to_circuit
+from surfenc.harness import _PointEngine
 from surfenc.stab_sim import PauliString
+
+
+def _residuals(circuit):
+    """The fault table with unit-mask images: res_x and res_z are residual masks."""
+    unit = [1 << q for q in range(circuit.n_qubits)]
+    return backward_images(circuit, (unit, unit))
 
 
 def _forward_sites(circuit):
@@ -64,22 +71,23 @@ def _forward_residual(circuit, flat, pos, qubits, basis):
 )
 def test_backward_images_match_forward_propagation(variant, scheme, target):
     circuit = generate_circuit(variant, 3, scheme, target, 1e-3)
-    faults = backward_images(circuit)
+    table = _residuals(circuit)
     flat, sites = _forward_sites(circuit)
 
     by_site: dict[int, list] = {}
-    for f in faults:
-        by_site.setdefault(f.site.index, []).append(f)
-    assert len(by_site) == len(sites)
+    for f, i in enumerate(table.site):
+        by_site.setdefault(i, []).append(f)
+    assert len(by_site) == len(sites) == len(table.sites)
+    assert table.site == sorted(table.site)
 
     for idx, (layer, channel, qubits, pos) in enumerate(sites):
         group = by_site[idx]
-        site = group[0].site
+        site = table.sites[idx]
         assert (site.layer, site.channel, site.qubits) == (layer, channel, qubits)
         assert len(group) == (15 if channel == "DEPOLARIZE2" else 1)
         for f in group:
-            want = _forward_residual(circuit, flat, pos, qubits, f.basis)
-            assert (f.res_x, f.res_z) == want, f.site.describe(f.basis)
+            want = _forward_residual(circuit, flat, pos, qubits, table.basis[f])
+            assert (table.res_x[f], table.res_z[f]) == want, table.describe(f)
 
 
 @pytest.mark.parametrize("variant", list(CodeVariant))
@@ -94,32 +102,39 @@ def test_key_space_pass_gives_syndrome_and_parity(variant, scheme, target, compl
     matrix = CheckMatrix.of(code, target, scheme, complementary)
     m = len(matrix.rows)
     want = []
-    for f in backward_images(circuit):
-        res = matrix.read(f.res_x, f.res_z)
+    plain = _residuals(circuit)
+    for x, z in zip(plain.res_x, plain.res_z):
+        res = matrix.read(x, z)
         want.append(matrix.syndrome(res) | matrix.logical_parity(res) << m)
     keyed = backward_images(circuit, matrix.key_images(circuit.n_qubits))
-    assert [matrix.read(f.res_x, f.res_z) for f in keyed] == want
-    assert fault_keys(circuit, matrix) == want
+    assert (keyed.sites, keyed.site, keyed.basis) == (plain.sites, plain.site, plain.basis)
+    assert list(map(matrix.read, keyed.res_x, keyed.res_z)) == want
     assert any(key >> m for key in want) and any(key & ((1 << m) - 1) for key in want)
+    if not complementary:
+        # the Monte Carlo's key words hold the same keys
+        engine = _PointEngine(variant.value, scheme.value, target.value, 3, 1e-3)
+        words = np.ascontiguousarray(engine.keys.T)
+        assert [int.from_bytes(row.tobytes(), "little") for row in words] == want
 
 
 def test_single_qubit_flip_sites_have_matching_basis():
     circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
-    for f in backward_images(circuit):
-        if f.site.channel == "X_ERROR":
-            assert f.basis == "X"
-        elif f.site.channel == "Z_ERROR":
-            assert f.basis == "Z"
+    table = _residuals(circuit)
+    for i, basis in zip(table.site, table.basis):
+        if table.sites[i].channel == "X_ERROR":
+            assert basis == "X"
+        elif table.sites[i].channel == "Z_ERROR":
+            assert basis == "Z"
         else:
-            assert len(f.basis) == 2 and f.basis != "II"
+            assert len(basis) == 2 and basis != "II"
 
 
 def test_site_description_format():
     circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
-    f = backward_images(circuit)[0]
-    text = f.site.describe(f.basis)
-    assert text.startswith(f"L{f.site.layer}:")
-    assert f.basis in text
+    table = _residuals(circuit)
+    text = table.describe(0)
+    assert text.startswith(f"L{table.sites[table.site[0]].layer}:")
+    assert table.basis[0] in text
 
 
 def test_check_matrix_me_includes_outcome_bits():
@@ -176,17 +191,19 @@ def _failing_by_plain_loop(circuit, code, target, scheme, complementary):
     """Every single fault, then every distinct-site pair, judged one by one."""
     matrix = CheckMatrix.of(code, target, scheme, complementary)
     decoder = SyndromeDecoder(code, matrix.target.value)
-    faults = backward_images(circuit)
+    table = _residuals(circuit)
+    faults = range(len(table.site))
+    rx, rz, site = table.res_x, table.res_z, table.site
 
     def fails(x, z):
         res = matrix.read(x, z)
         return matrix.logical_parity(res) ^ decoder.decode_syndrome(matrix.syndrome(res))
 
-    failing = [(f.site.describe(f.basis),) for f in faults if fails(f.res_x, f.res_z)]
-    for i, a in enumerate(faults):
-        for b in faults[i + 1 :]:
-            if a.site.index != b.site.index and fails(a.res_x ^ b.res_x, a.res_z ^ b.res_z):
-                failing.append((a.site.describe(a.basis), b.site.describe(b.basis)))
+    failing = [(table.describe(a),) for a in faults if fails(rx[a], rz[a])]
+    for a in faults:
+        for b in faults[a + 1 :]:
+            if site[a] != site[b] and fails(rx[a] ^ rx[b], rz[a] ^ rz[b]):
+                failing.append((table.describe(a), table.describe(b)))
     return failing
 
 
@@ -267,8 +284,9 @@ def test_readme_library_example_runs(capsys):
 def test_analyze_faults_rejects_bad_weight():
     circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
     code = build_code(CodeVariant.ROTATED, 3)
-    with pytest.raises(ValueError):
-        analyze_faults(circuit, code, Target.ZERO, Scheme.UE, max_weight=3)
+    for bad in (3, 0, True, 1.0, 2.0, "2"):
+        with pytest.raises(ValueError, match="max_weight"):
+            analyze_faults(circuit, code, Target.ZERO, Scheme.UE, max_weight=bad)
 
 
 def test_hook_catalogue_frozen_rotated_fan():
@@ -336,10 +354,13 @@ def test_reverse_pass_on_handmade_measure_circuit():
         [Instruction("M", (1,))],
     ]
     circuit = Circuit(2, layers)
-    faults = backward_images(circuit)
-    d2 = [f for f in faults if f.site.channel == "DEPOLARIZE2"]
-    by_basis = {f.basis: f for f in d2}
-    assert (by_basis["IX"].res_x, by_basis["IX"].res_z) == (0b10, 0)
-    assert (by_basis["IZ"].res_x, by_basis["IZ"].res_z) == (0, 0)
-    assert (by_basis["ZI"].res_x, by_basis["ZI"].res_z) == (0, 0b01)
-    assert (by_basis["XI"].res_x, by_basis["XI"].res_z) == (0b01, 0)
+    table = _residuals(circuit)
+    by_basis = {
+        table.basis[f]: (table.res_x[f], table.res_z[f])
+        for f, i in enumerate(table.site)
+        if table.sites[i].channel == "DEPOLARIZE2"
+    }
+    assert by_basis["IX"] == (0b10, 0)
+    assert by_basis["IZ"] == (0, 0)
+    assert by_basis["ZI"] == (0, 0b01)
+    assert by_basis["XI"] == (0b01, 0)
