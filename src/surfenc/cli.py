@@ -32,16 +32,24 @@ from .harness import (
 
 
 def _argument(parse, rule):
-    """An argparse type: rule(parse(text)), reporting rule's ValueError as is."""
+    """An argparse type: rule(parse(text)).
+
+    Either failure is an ArgumentTypeError: parse's in argparse's own wording
+    ("invalid int value: 'x'"), rule's ValueError as is.
+    """
 
     def convert(text: str):
-        value = parse(text)  # argparse reports its ValueError as "invalid int value"
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {text!r}"
+            ) from None
         try:
             return rule(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    convert.__name__ = parse.__name__
     return convert
 
 
@@ -145,6 +153,14 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _items(option: str, text: str, convert) -> list:
+    """A comma-separated option's values, each through an argparse type."""
+    try:
+        return [convert(item) for item in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"argument {option}: {exc}") from None
+
+
 def _load_config(args) -> ExperimentConfig:
     payload: dict = {}
     if args.config:
@@ -163,10 +179,12 @@ def _load_config(args) -> ExperimentConfig:
         payload["scheme"] = args.scheme
     if args.target:
         payload["target"] = args.target
-    if args.distances:
-        payload["distances"] = [int(x) for x in args.distances.split(",")]
-    if args.noise_strengths:
-        payload["noise_strengths"] = [float(x) for x in args.noise_strengths.split(",")]
+    if args.distances is not None:
+        payload["distances"] = _items("--distances", args.distances, _distance)
+    if args.noise_strengths is not None:
+        payload["noise_strengths"] = _items(
+            "--noise-strengths", args.noise_strengths, _probability
+        )
     for key in ("shots", "seed", "workers", "min_failures"):
         value = getattr(args, key)
         if value is not None:

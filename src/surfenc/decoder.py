@@ -24,13 +24,19 @@ so the syndrome is its defect set and the partner masks are built once per
 graph.  The correction is the XOR of the matched pairs' path masks.
 Callers ask one question of it, whether it flips the protected logical, so
 SyndromeDecoder.decode_syndrome returns and caches that parity bit per
-syndrome.  match_defects_bruteforce re-solves the matching by
+syndrome.  That answer depends only on the check matrix, the data qubits and
+the syndrome, so every decoder of one (CheckMatrix, data qubits) pair shares
+one graph and one parity cache, whichever scheme or run_experiment point
+asked for it: the three encoders of one code and target decode each
+syndrome once.
+match_defects_bruteforce re-solves the matching by
 enumerating every pairing and exists purely as an independent cross-check;
 nothing in the decode path calls it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -40,7 +46,7 @@ from .encoders import Scheme, Target, prepared_check_kind
 from .stab_sim import qubit_mask
 
 _DP_LIMIT = 14
-# SyndromeDecoder._cache is emptied when it reaches this many syndromes
+# a shared parity cache is emptied when it reaches this many syndromes
 _CACHE_LIMIT = 1 << 20
 
 
@@ -125,7 +131,7 @@ class CheckMatrix:
 class MatchingGraph:
     """Path table over a CheckMatrix's checks; node len(checks) is the boundary."""
 
-    def __init__(self, code: SurfaceCode, matrix: CheckMatrix):
+    def __init__(self, matrix: CheckMatrix, data_ids: tuple[int, ...]):
         m = len(matrix.checks)
         self.boundary = m
 
@@ -136,7 +142,7 @@ class MatchingGraph:
 
         # one edge per data qubit; parallel edges keep the smallest qubit id
         best_edge: dict[tuple[int, int], int] = {}
-        for q in code.data_ids:
+        for q in data_ids:
             hits = containing.get(q, [])
             if not 1 <= len(hits) <= 2:
                 raise ValueError(
@@ -303,6 +309,14 @@ def match_defects_bruteforce(graph: MatchingGraph, defects: list[int]) -> int:
     return rec(tuple(defects))
 
 
+@functools.lru_cache(maxsize=32)
+def _shared_state(
+    matrix: CheckMatrix, data_ids: tuple[int, ...]
+) -> tuple[MatchingGraph, dict[int, int]]:
+    """The matching graph and parity cache of every decoder of (matrix, data_ids)."""
+    return MatchingGraph(matrix, data_ids), {}
+
+
 @dataclass
 class SyndromeDecoder:
     """Caching decoder bound to a code and a protected preparation target.
@@ -310,19 +324,25 @@ class SyndromeDecoder:
     The target's CheckMatrix says which checks flag which errors; the
     matching graph is built on those checks.  Each syndrome's answer, the
     protected-logical parity of its correction, is cached, so repeated
-    syndromes decode once.  The cache is emptied when it holds
-    _CACHE_LIMIT syndromes; an answer depends on its syndrome alone.
+    syndromes decode once.  Graph and cache are shared, through
+    _shared_state, by every decoder whose CheckMatrix and code.data_ids are
+    equal: they are all the answer reads, so a hand-built or modified code
+    never borrows another code's answers.  The 32 most recently used states
+    are kept, and each cache is emptied when it holds _CACHE_LIMIT
+    syndromes, about 80 MB of keys and dict; the ceiling is therefore about
+    2.5 GB, reached only when 32 codes and targets each decode 2^20 distinct
+    syndromes.  A graph is under 1 MB up to unrotated d=11.
     """
 
     code: SurfaceCode
     target: str
     graph: MatchingGraph = field(init=False)
     matrix: CheckMatrix = field(init=False)
-    _cache: dict[int, int] = field(init=False, default_factory=dict)
+    _cache: dict[int, int] = field(init=False)
 
     def __post_init__(self):
         self.matrix = CheckMatrix.of(self.code, self.target)
-        self.graph = MatchingGraph(self.code, self.matrix)
+        self.graph, self._cache = _shared_state(self.matrix, self.code.data_ids)
 
     def decode_syndrome(self, syndrome: int) -> int:
         """The protected-logical parity of the syndrome's correction."""

@@ -397,7 +397,9 @@ def compare_schemes(results: list[PointResult]) -> list[SchemeRatio]:
     """Pairwise failure-rate ratios between schemes at matching points.
 
     Interval bounds propagate conservatively: [lo_a/hi_b, hi_a/lo_b], with
-    infinity when the denominator interval touches zero.
+    infinity when the denominator interval touches zero.  The ratio is
+    infinite when only the denominator saw no failures, and nan when neither
+    point did.
     """
     by_cell: dict[tuple, dict[str, PointResult]] = {}
     for r in results:
@@ -410,7 +412,10 @@ def compare_schemes(results: list[PointResult]) -> list[SchemeRatio]:
                 if num == den:
                     continue
                 a, b = cell[num], cell[den]
-                ratio = a.p_l / b.p_l if b.p_l > 0 else math.inf
+                if b.p_l > 0:
+                    ratio = a.p_l / b.p_l
+                else:
+                    ratio = math.inf if a.p_l > 0 else math.nan
                 lo = a.ci_lo / b.ci_hi if b.ci_hi > 0 else math.inf
                 hi = a.ci_hi / b.ci_lo if b.ci_lo > 0 else math.inf
                 rows.append(

@@ -179,7 +179,7 @@ def test_07_matching_agrees_with_brute_force_enumeration():
             code = build_code(variant, d)
             for target in ("plus", "zero"):
                 matrix = CheckMatrix.of(code, target)
-                graph = MatchingGraph(code, matrix)
+                graph = MatchingGraph(matrix, code.data_ids)
                 m = graph.boundary
                 for _ in range(84):
                     k = int(rng.integers(1, min(10, m) + 1))

@@ -134,6 +134,22 @@ def test_circuit_commands_reject_bad_distance_and_p(command, extra, capsys):
         ([], b"[3, 5]", "cfg.json: a config is a JSON object"),
         ([], b"{distances: [3]}", "cfg.json: a config is a JSON object"),
         ([], b"\xff{", "cfg.json: a config is a JSON object"),
+        # every list item goes through the single-value rule
+        (["--distances", ""], None, "argument --distances: invalid int value: ''"),
+        (["--distances", "3,x"], None, "argument --distances: invalid int value: 'x'"),
+        (["--distances", "3,4"], None, "argument --distances: distance must be"),
+        (
+            ["--distances", "3", "--noise-strengths", "1e-3,abc"], None,
+            "argument --noise-strengths: invalid float value: 'abc'",
+        ),
+        (
+            ["--distances", "3", "--noise-strengths", ""], None,
+            "argument --noise-strengths: invalid float value: ''",
+        ),
+        (
+            ["--distances", "3", "--noise-strengths", "1e-3,2"], None,
+            "argument --noise-strengths: noise strength must be in [0, 1]",
+        ),
     ],
 )
 def test_simulate_rejects_bad_config_in_one_line(tmp_path, capsys, args, config, needle):

@@ -1,5 +1,7 @@
 """Matching decoder: exactness against brute force, caching, engine parity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from surfenc.decoder import (
     _near,
     match_defects_bruteforce,
 )
+from surfenc.encoders import Scheme, Target, generate_circuit
+from surfenc.fault_analysis import analyze_faults
 from surfenc.harness import _PointEngine, chunk_rng
 
 
@@ -63,7 +67,7 @@ def _random_error(rng, data_ids, weight):
 
 def _graph(code, target):
     matrix = CheckMatrix.of(code, target)
-    return matrix, MatchingGraph(code, matrix)
+    return matrix, MatchingGraph(matrix, code.data_ids)
 
 
 def test_single_errors_decode_to_weight_one():
@@ -238,6 +242,66 @@ def test_syndrome_cache_is_bounded(monkeypatch):
         got.append(dec.decode_syndrome(syn))
         assert 0 < len(dec._cache) <= 2
     assert got == want + want
+
+
+def test_decoders_of_one_code_and_target_share_graph_and_cache():
+    a = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
+    b = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
+    assert a.graph is b.graph and a._cache is b._cache
+    syn = a.matrix.syndrome(1 << a.code.data_ids[3])
+    a.decode_syndrome(syn)
+    assert syn in b._cache
+
+
+@pytest.mark.parametrize(
+    "variant,d,target",
+    [("rotated", 5, "plus"), ("unrotated", 5, "zero"), ("rotated", 3, "zero")],
+)
+def test_decoders_of_another_code_or_target_share_nothing(variant, d, target):
+    base = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
+    other = SyndromeDecoder(build_code(variant, d), target)
+    assert other.graph is not base.graph and other._cache is not base._cache
+
+
+def test_a_modified_code_shares_nothing():
+    # same variant, distance and qubits, Z checks in reverse order: the
+    # syndrome bits mean other checks, so the base answers must not be read
+    code = build_code(CodeVariant.ROTATED, 5)
+    base = SyndromeDecoder(code, "zero")
+    modified = SyndromeDecoder(dataclasses.replace(code, z_checks=code.z_checks[::-1]), "zero")
+    assert modified.graph is not base.graph and modified._cache is not base._cache
+    for dec in (base, modified):
+        for q in code.data_ids:
+            # a single flip is corrected exactly, so the correction's parity
+            # is the flip's own
+            want = dec.matrix.logical_parity(1 << q)
+            assert dec.decode_syndrome(dec.matrix.syndrome(1 << q)) == want, q
+
+
+@pytest.mark.parametrize("variant", list(CodeVariant))
+@pytest.mark.parametrize("complementary", [False, True])
+def test_pair_reports_are_equal_with_a_warm_shared_cache(variant, complementary):
+    code = build_code(variant, 3)
+    for target in Target:
+        circuits = {s: generate_circuit(variant, 3, s, target, 1e-3) for s in Scheme}
+
+        def report(scheme):
+            return analyze_faults(
+                circuits[scheme], code, target, scheme, max_weight=2,
+                complementary=complementary,
+            )
+
+        cold = {}
+        for scheme in Scheme:
+            decoder._shared_state.cache_clear()
+            cold[scheme] = report(scheme)
+        for scheme in Scheme:
+            decoder._shared_state.cache_clear()
+            for other in Scheme:
+                if other is not scheme:
+                    report(other)
+            assert decoder._shared_state.cache_info().currsize == 1
+            assert report(scheme) == cold[scheme], (target, scheme)
 
 
 def test_path_mask_endpoints():

@@ -398,3 +398,9 @@ def test_compare_schemes_ratios():
     zero = compare_schemes([mk("ue", 0.0, 0.0, 1e-6), mk("uea", 1e-4, 6e-5, 1.6e-4)])
     z = {(r.numerator, r.denominator): r for r in zero}[("uea", "ue")]
     assert z.ratio == float("inf") and z.ratio_hi == float("inf")
+    # no failures at either point: the ratio is unknown, not infinite
+    both = compare_schemes([mk("ue", 0.0, 0.0, 3.8e-6), mk("uea", 0.0, 0.0, 3.8e-6)])
+    assert len(both) == 2
+    for r in both:
+        assert math.isnan(r.ratio)
+        assert r.ratio_lo == 0.0 and r.ratio_hi == float("inf")
