@@ -173,19 +173,13 @@ def _load_config(args) -> ExperimentConfig:
             raise ValueError(
                 f"{args.config}: a config is a JSON object, got {type(payload).__name__}"
             )
-    if args.variant:
-        payload["variant"] = args.variant
-    if args.scheme:
-        payload["scheme"] = args.scheme
-    if args.target:
-        payload["target"] = args.target
     if args.distances is not None:
         payload["distances"] = _items("--distances", args.distances, _distance)
     if args.noise_strengths is not None:
         payload["noise_strengths"] = _items(
             "--noise-strengths", args.noise_strengths, _probability
         )
-    for key in ("shots", "seed", "workers", "min_failures"):
+    for key in ("variant", "scheme", "target", "shots", "seed", "workers", "min_failures"):
         value = getattr(args, key)
         if value is not None:
             payload[key] = value

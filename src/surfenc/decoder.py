@@ -3,7 +3,9 @@
 CheckMatrix alone decides what a residual's syndrome is: from the protected
 target (and, for scheme me, the measured checks) it fixes the detecting
 checks, the qubits each syndrome bit reads, the logical and the residual
-component (X or Z) read.  Syndromes are Python ints of any width.
+component (X or Z) read.  Syndromes are Python ints of any width, and a
+residual's key is syndrome | logical parity << m for m checks; pack lays
+keys out for numpy as W = m // 64 + 1 uint64 words per column.
 
 The matching graph has one node per detecting check plus a single boundary
 node; every data qubit contributes exactly one edge, between the checks that
@@ -28,7 +30,9 @@ syndrome.  That answer depends only on the check matrix, the data qubits and
 the syndrome, so every decoder of one (CheckMatrix, data qubits) pair shares
 one graph and one parity cache, whichever scheme or run_experiment point
 asked for it: the three encoders of one code and target decode each
-syndrome once.
+syndrome once.  SyndromeDecoder.failures judges packed keys, Monte Carlo
+shots and fault classes alike: a key fails when its parity differs from
+its correction's, and each distinct syndrome is decoded once.
 match_defects_bruteforce re-solves the matching by
 enumerating every pairing and exists purely as an independent cross-check;
 nothing in the decode path calls it.
@@ -40,6 +44,7 @@ import functools
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from .code_model import StabilizerCheck, SurfaceCode
 from .encoders import Scheme, Target, prepared_check_kind
@@ -120,6 +125,15 @@ class CheckMatrix:
         for q in self.logical_support:
             key[q] |= 1 << m
         return (key, [0] * n) if self.axis == "X" else ([0] * n, key)
+
+    def pack(self, keys) -> np.ndarray:
+        """Python-int keys as a (W, N) uint64 array, W = m // 64 + 1.
+
+        Entry [w, n] is word w, least significant first, of the n-th key.
+        """
+        words = len(self.rows) // 64 + 1
+        raw = b"".join(key.to_bytes(8 * words, "little") for key in keys)
+        return np.frombuffer(raw, dtype="<u8").reshape(-1, words).T.copy()
 
     def syndrome(self, mask: int) -> int:
         return sum(((mask & row).bit_count() & 1) << i for i, row in enumerate(self.rows))
@@ -352,6 +366,41 @@ class SyndromeDecoder:
                 self._cache.clear()
             mask, _ = self.graph.decode(syndrome)
             parity = self._cache[syndrome] = self.matrix.logical_parity(mask)
+        return parity
+
+    def failures(self, keys: np.ndarray) -> np.ndarray:
+        """Per column of packed keys (CheckMatrix.pack), whether it fails.
+
+        A key fails when its logical parity differs from the parity of its
+        syndrome's correction.  An empty syndrome needs no correction, so it
+        fails iff its parity is set; each distinct nonempty syndrome is
+        decoded once.  keys is left unchanged.
+        """
+        word, bit = divmod(len(self.matrix.rows), 64)
+        parity_bit = np.uint64(1) << np.uint64(bit)
+        top = keys[word]
+        # bit m is the top bit of its word, so the word reaches parity_bit
+        # exactly when the parity is set
+        parity = top >= parity_bit
+        nonempty = (top != 0) & (top != parity_bit)
+        if word:
+            nonempty |= keys[:word].any(axis=0)
+        # an index array, not a boolean mask: indexing by a mask that picks
+        # about one shot in three costs several times more
+        hit = np.flatnonzero(nonempty)
+        syn = keys[:, hit]
+        syn[word] &= ~parity_bit
+        if len(syn) == 1:
+            # a plain integer sort, several times cheaper than void keys
+            uniq, inv = np.unique(syn[0], return_inverse=True)
+            syndromes = uniq.tolist()
+        else:
+            rows = np.ascontiguousarray(syn.T)
+            rows = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
+            uniq, inv = np.unique(rows, return_inverse=True)
+            syndromes = [int.from_bytes(row.tobytes(), "little") for row in uniq]
+        corr = np.array([self.decode_syndrome(s) for s in syndromes], dtype=bool)
+        parity[hit] ^= corr[inv]
         return parity
 
     def is_logical_failure(self, error_mask: int) -> bool:

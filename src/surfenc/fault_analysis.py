@@ -23,16 +23,15 @@ protected logical.  The complementary analysis uses the dual target's
 matrix, which for measurement-based circuits also reads the measured
 ancillas' outcome flips.
 
-A fault's class is its key, that is (syndrome, logical parity); the U
-distinct syndromes are decoded once, so there are at most 2U classes.  Since
-syndrome and parity are linear in the residual, whether a pair fails depends
-on its two classes alone: the pair of classes (s, p) and (t, q) fails iff
-p ^ q ^ decode(s ^ t), and one U x U table of decoded XORs fills the class
-failure table.  Only faults whose class has a failing partner class are
-expanded to fault pairs; there the pairs from two distinct sites are listed
-in row-major order of the fault list.  When no class pair fails, as in the
-protected analysis at d >= 5, nothing of size F x F is built for the F
-basis faults.
+A fault's class is its key, (syndrome, logical parity), and the C distinct
+keys are packed by CheckMatrix.pack.  SyndromeDecoder.failures judges
+them, and so every single fault.  Syndrome and parity are linear in
+the residual, so a pair fails iff the XOR of its two class keys does:
+failures over the C x C class-key XORs fills the class failure table.
+Only faults whose class has a failing partner class are expanded to fault
+pairs; there the pairs from two distinct sites are listed in row-major
+order of the fault list.  When no class pair fails, as in the protected
+analysis at d >= 5, nothing of size F x F is built for the F basis faults.
 """
 
 from __future__ import annotations
@@ -221,36 +220,19 @@ def analyze_faults(
         raise ValueError(f"the decoder must protect {matrix.target.value!r}")
     table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
 
-    # A fault's class is its key, numbered in order of first appearance, and
-    # syndromes are numbered the same way.
-    m = len(matrix.rows)
-    index: dict[int, int] = {}
-    classes: dict[int, int] = {}
-    cls = []
-    for key in map(matrix.read, table.res_x, table.res_z):
-        c = classes.get(key)
-        if c is None:
-            c = classes[key] = len(classes)
-            index.setdefault(key & ~(1 << m), len(index))
-        cls.append(c)
-    cls = np.array(cls, dtype=np.intp)
-    uniq = list(index)
-    corr = np.array([decoder.decode_syndrome(s) for s in uniq], dtype=np.uint8)
-    syn = np.array([index[key & ~(1 << m)] for key in classes], dtype=np.intp)
-    parity = np.array([key >> m for key in classes], dtype=np.uint8)
-
-    failing = [(table.describe(f),) for f in np.flatnonzero((parity ^ corr[syn])[cls])]
+    # A fault's class is its key, numbered in order of first appearance.
+    keys = list(map(matrix.read, table.res_x, table.res_z))
+    index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+    cls = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    classes = matrix.pack(index)
+    failing = [(table.describe(f),) for f in np.flatnonzero(decoder.failures(classes)[cls])]
 
     if max_weight == 2:
         # syndrome and parity are linear in the residual, so a pair's fate
         # depends on its two classes alone
-        decode = decoder.decode_syndrome
-        decoded = np.zeros((len(uniq), len(uniq)), dtype=np.uint8)
-        for a, sa in enumerate(uniq):
-            decoded[a, a:] = [decode(sa ^ sb) for sb in uniq[a:]]
-        decoded |= decoded.T
-        class_fail = parity[:, None] ^ parity[None, :] ^ decoded[syn[:, None], syn[None, :]]
-        class_fail = class_fail.view(bool)
+        words, n = classes.shape
+        xor = (classes[:, :, None] ^ classes[:, None, :]).reshape(words, n * n)
+        class_fail = decoder.failures(xor).reshape(n, n)
         # expand to fault pairs only the faults whose class has a failing
         # partner class
         involved = np.flatnonzero(class_fail.any(axis=1)[cls])

@@ -9,12 +9,11 @@ A shot's syndrome and logical parity are linear in its faults, so no qubit
 is simulated.  Per point, one backward pass in the key space of the target's
 CheckMatrix (fault_analysis.backward_images, the same table the exhaustive
 enumeration reads) gives every basis fault its key, syndrome | logical
-parity << m for m checks, held in W = ceil((m+1)/64) uint64 words.  Per
-chunk, each noise instruction draws its hits through stab_sim.noise_draws,
-as the frame sampler does, and bitwise_xor.at XORs the keys of the hit
-faults into their shots.  Shots with an empty syndrome are counted
-directly, each distinct nonempty syndrome is decoded once, and a shot
-fails when its parity differs from its correction's.
+parity << m for m checks, packed into uint64 words by CheckMatrix.pack.
+Per chunk, each noise instruction draws its hits through
+stab_sim.noise_draws, as the frame sampler does, and bitwise_xor.at XORs
+the keys of the hit faults into their shots.  SyndromeDecoder.failures
+then judges the shots' keys, as it judges the exhaustive enumeration's.
 """
 
 from __future__ import annotations
@@ -207,8 +206,8 @@ def sample_fault_keys(
 class _PointEngine:
     """Per-point compiled state: circuit, decoder and one key per basis fault.
 
-    keys[w, f] is word w of fault f's key, syndrome | parity << m for the m
-    checks of the decoder's CheckMatrix, in W = m // 64 + 1 words.
+    keys[:, f] is fault f's key in the decoder's CheckMatrix, packed by
+    CheckMatrix.pack.
     """
 
     def __init__(self, variant: str, scheme: str, target: str, d: int, p: float):
@@ -216,40 +215,12 @@ class _PointEngine:
         self.circuit = generate_circuit(variant, d, scheme, target, p)
         self.decoder = SyndromeDecoder(self.code, target)
         matrix = self.decoder.matrix
-        self.m = len(matrix.rows)
-        words = self.m // 64 + 1
         table = backward_images(self.circuit, matrix.key_images(self.circuit.n_qubits))
-        keys = map(matrix.read, table.res_x, table.res_z)
-        raw = b"".join(key.to_bytes(8 * words, "little") for key in keys)
-        self.keys = np.frombuffer(raw, dtype="<u8").reshape(-1, words).T.copy()
+        self.keys = matrix.pack(map(matrix.read, table.res_x, table.res_z))
 
     def count_chunk_failures(self, shots: int, rng: np.random.Generator) -> int:
         syn = sample_fault_keys(self.circuit, self.keys, shots, rng)
-        word, bit = divmod(self.m, 64)
-        parity_bit = np.uint64(1) << np.uint64(bit)
-        # bit m is the top bit of its word, so the word reaches parity_bit
-        # exactly when the parity is set
-        parity = syn[word] >= parity_bit
-        syn[word] &= ~parity_bit
-        # an index array, not a boolean mask: indexing by a mask that picks
-        # about one shot in three costs several times more
-        hit = np.flatnonzero(syn.any(axis=0))
-        flagged = parity[hit]
-        # an empty syndrome decodes to no correction: failure iff parity set
-        failures = np.count_nonzero(parity) - np.count_nonzero(flagged)
-        syn = syn[:, hit]
-        if len(syn) == 1:
-            # a plain integer sort, several times cheaper than void keys
-            uniq, inv = np.unique(syn[0], return_inverse=True)
-            syndromes = uniq.tolist()
-        else:
-            rows = np.ascontiguousarray(syn.T)
-            rows = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
-            uniq, inv = np.unique(rows, return_inverse=True)
-            syndromes = [int.from_bytes(row.tobytes(), "little") for row in uniq]
-        decode = self.decoder.decode_syndrome
-        corr = np.array([decode(s) for s in syndromes], dtype=bool)
-        return int(failures + np.count_nonzero(flagged ^ corr[inv]))
+        return int(np.count_nonzero(self.decoder.failures(syn)))
 
 
 # a run visits its points in order, so a few engines serve all its chunks
@@ -377,7 +348,12 @@ def read_results_csv(fileobj) -> list[PointResult]:
     missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"results CSV lacks the columns {missing}")
-    return [PointResult(**{c: parse(row[c]) for c, parse in _CSV_FIELDS}) for row in reader]
+    results = []
+    for row in reader:
+        if None in row.values():  # DictReader pads a short row with None
+            raise ValueError(f"results CSV line {reader.line_num} lacks fields")
+        results.append(PointResult(**{c: parse(row[c]) for c, parse in _CSV_FIELDS}))
+    return results
 
 
 @dataclass(frozen=True)

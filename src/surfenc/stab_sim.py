@@ -79,11 +79,6 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z)
-
     def propagate(self, instr: Instruction) -> "PauliString":
         """Image of this Pauli when pushed forward past one instruction.
 
@@ -315,8 +310,9 @@ def noise_draws(
     Returns (site, shot, k): the hit sites (an index into the targets of a
     flip channel or into the pairs of DEPOLARIZE2), the shot of each hit
     and, for DEPOLARIZE2, one Pauli k in 1..15 per hit (None for a flip
-    channel).  Every sampler takes its noise from here, so that samplers
-    handed equal generators consume them identically.
+    channel).  The frame sampler (sample_packed_frames) and the key sampler
+    (harness.sample_fault_keys) both take their noise from here, so handed
+    equal generators they consume them identically.
     """
     pairwise = instr.name == "DEPOLARIZE2"
     sites = len(instr.targets) // 2 if pairwise else len(instr.targets)

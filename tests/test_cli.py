@@ -200,6 +200,7 @@ def test_compare_from_csv(tmp_path, capsys):
     [
         (["compare", "{tmp}/missing.csv"], "No such file"),
         (["compare", "{tmp}/no_variant.csv"], "'variant'"),
+        (["compare", "{tmp}/short_row.csv"], "line 3"),
         (
             ["generate", "--variant", "rotated", "-d", "3", "--scheme", "ue",
              "--out", "{tmp}/no_such_dir/circ.txt"],
@@ -215,6 +216,11 @@ def test_compare_from_csv(tmp_path, capsys):
 def test_io_errors_end_in_one_line(tmp_path, capsys, argv, needle):
     (tmp_path / "no_variant.csv").write_text(
         "scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\nue,zero,3,0.001,100,1,0.01,0.001,0.05\n"
+    )
+    (tmp_path / "short_row.csv").write_text(
+        "variant,scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\n"
+        "rotated,ue,zero,3,0.001,100,1,0.01,0.001,0.05\n"
+        "rotated,uea,zero,3,0.001,100,1\n"
     )
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()

@@ -244,6 +244,35 @@ def test_syndrome_cache_is_bounded(monkeypatch):
     assert got == want + want
 
 
+@pytest.mark.parametrize("variant, d, checks", [("rotated", 5, 12), ("unrotated", 9, 72)])
+def test_failures_equal_parity_xor_decode_per_column(variant, d, checks):
+    # second route for the packed-key judge, in one and in two words: each
+    # column's parity XOR one decode_syndrome of its syndrome
+    dec = SyndromeDecoder(build_code(variant, d), "zero")
+    m = len(dec.matrix.rows)
+    assert m == checks
+    rng = np.random.default_rng(13)
+    keys = []
+    for _ in range(80):
+        defects = rng.choice(m, size=rng.integers(1, 7), replace=False)
+        keys.append(sum(1 << int(i) for i in defects) | int(rng.integers(2)) << m)
+    # empty syndromes with the parity clear and set, repeated keys, and a
+    # repeated syndrome with the other parity
+    keys += [0, 1 << m, 0, 1 << m] + keys[:20] + [keys[0] ^ 1 << m]
+    keys = [keys[i] for i in rng.permutation(len(keys))]
+    packed = dec.matrix.pack(keys)
+    assert packed.dtype == np.uint64 and packed.shape == (m // 64 + 1, len(keys))
+    if m > 64:
+        assert packed[1].any() and (packed[1] & ~np.uint64(1 << (m - 64))).any()
+    before = packed.copy()
+    got = dec.failures(packed)
+    np.testing.assert_array_equal(packed, before)
+    syndrome = (1 << m) - 1
+    want = [bool(key >> m ^ dec.decode_syndrome(key & syndrome)) for key in keys]
+    assert got.dtype == bool and got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
 def test_decoders_of_one_code_and_target_share_graph_and_cache():
     a = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
     b = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
