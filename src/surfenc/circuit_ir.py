@@ -15,6 +15,7 @@ Supported instructions:
     X_ERROR(p) q ...        independent X flip per qubit
     Z_ERROR(p) q ...        independent Z flip per qubit
 
+CHANNELS lists each noise channel's basis faults, once for the whole package.
 The text format is line-oriented: `# key: value` header lines, one
 instruction per line, `TICK` between consecutive layers.
 """
@@ -24,11 +25,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-NOISE_NAMES = frozenset({"DEPOLARIZE2", "X_ERROR", "Z_ERROR"})
+
+def _bases(*labels: str) -> tuple[tuple[str, int, int], ...]:
+    """(label, x, z) per Pauli label: bit i of x and of z is letter i's X and Z part."""
+    def part(label: str, shift: int) -> int:
+        return sum(("IXZY".index(ch) >> shift & 1) << i for i, ch in enumerate(label))
+    return tuple((label, part(label, 0), part(label, 1)) for label in labels)
+
+
+# Per noise instruction, the basis faults of one site in draw order, as
+# (label, x, z): letter i of the label is the Pauli on the site's qubit i.
+# A hit site suffers one of them, drawn uniformly (stab_sim.noise_draws).
+# DEPOLARIZE2 orders its 15 by their bits xa za xb zb as a binary number.
+CHANNELS = {
+    "DEPOLARIZE2": _bases(*(a + b for a in "IZXY" for b in "IZXY"))[1:],
+    "X_ERROR": _bases("X"),
+    "Z_ERROR": _bases("Z"),
+}
+NOISE_NAMES = frozenset(CHANNELS)
 PAIRWISE_NAMES = frozenset({"CX", "DEPOLARIZE2"})
-RESET_NAMES = frozenset({"R", "RX"})
-MEASURE_NAMES = frozenset({"M", "MX"})
-KNOWN_NAMES = NOISE_NAMES | RESET_NAMES | MEASURE_NAMES | {"CX"}
+KNOWN_NAMES = NOISE_NAMES | {"CX", "R", "RX", "M", "MX"}
 
 
 @dataclass(frozen=True)
@@ -44,6 +60,9 @@ class Instruction:
             raise ValueError(f"{self.name}: at least one target required")
         if self.name in PAIRWISE_NAMES and len(self.targets) % 2:
             raise ValueError(f"{self.name}: targets must come in pairs")
+        repeats = [site for site in self.sites() if len(set(site)) < len(site)]
+        if repeats:
+            raise ValueError(f"{self.name}: the pair {repeats[0]} repeats a qubit")
         if self.name in NOISE_NAMES:
             if self.arg is None or not 0.0 <= self.arg <= 1.0:
                 raise ValueError(f"{self.name}: probability in [0, 1] required")
@@ -54,13 +73,10 @@ class Instruction:
     def is_noise(self) -> bool:
         return self.name in NOISE_NAMES
 
-    def pairs(self) -> list[tuple[int, int]]:
-        if self.name not in PAIRWISE_NAMES:
-            raise ValueError(f"{self.name} is not a pairwise instruction")
-        return [
-            (self.targets[i], self.targets[i + 1])
-            for i in range(0, len(self.targets), 2)
-        ]
+    def sites(self) -> list[tuple[int, ...]]:
+        """The targets grouped per gate or noise site: pairs or single qubits."""
+        it = iter(self.targets)
+        return list(zip(it, it) if self.name in PAIRWISE_NAMES else zip(it))
 
     def to_text(self) -> str:
         head = self.name if self.arg is None else f"{self.name}({self.arg!r})"
@@ -142,22 +158,22 @@ class Circuit:
         layers: list[list[Instruction]] = [[]]
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = re.match(r"#\s*([^:]+?)\s*:\s*(.*)$", line)
-                if not m:
-                    raise ValueError(f"line {lineno}: malformed header {line!r}")
-                key, value = m.group(1), m.group(2)
-                if key == "qubits":
-                    n_qubits = int(value)
-                else:
-                    metadata[key] = value
-                continue
-            if line == "TICK":
-                layers.append([])
-                continue
-            layers[-1].append(_parse_instruction(line, lineno))
+            try:
+                if line == "TICK":
+                    layers.append([])
+                elif line.startswith("#"):
+                    m = re.match(r"#\s*([^:]+?)\s*:\s*(.*)$", line)
+                    if not m:
+                        raise ValueError(f"malformed header {line!r}")
+                    key, value = m.group(1), m.group(2)
+                    if key == "qubits":
+                        n_qubits = int(value)
+                    else:
+                        metadata[key] = value
+                elif line:
+                    layers[-1].append(_parse_instruction(line))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         if n_qubits is None:
             raise ValueError("missing '# qubits: N' header")
         if layers and not layers[-1]:
@@ -170,10 +186,10 @@ _INSTRUCTION_RE = re.compile(
 )
 
 
-def _parse_instruction(line: str, lineno: int) -> Instruction:
+def _parse_instruction(line: str) -> Instruction:
     m = _INSTRUCTION_RE.match(line)
     if not m:
-        raise ValueError(f"line {lineno}: cannot parse instruction {line!r}")
+        raise ValueError(f"cannot parse instruction {line!r}")
     name, arg, targets = m.group(1), m.group(2), m.group(3)
     return Instruction(
         name=name,

@@ -201,24 +201,6 @@ def _build_unrotated(d: int) -> SurfaceCode:
     )
 
 
-def check_commutation(code: SurfaceCode) -> bool:
-    """True iff all checks commute pairwise and with the opposite logicals.
-
-    Two Pauli products of opposite kind commute exactly when their supports
-    overlap on an even number of qubits.  Same-kind operators always commute.
-    """
-    z_supports = [set(c.support) for c in code.z_checks]
-    sets_x = [set(c.support) for c in code.x_checks] + [set(code.logical_x)]
-    sets_z = z_supports + [set(code.logical_z)]
-    for sx in sets_x:
-        for sz in sets_z:
-            if sx == set(code.logical_x) and sz == set(code.logical_z):
-                continue  # the logical pair must anticommute instead
-            if len(sx & sz) % 2:
-                return False
-    return len(set(code.logical_x) & set(code.logical_z)) % 2 == 1
-
-
 def x_check_rows(code: SurfaceCode) -> list[list[StabilizerCheck]]:
     """X checks grouped by geometric row, top to bottom, left to right."""
     return _grouped(code, code.x_checks)

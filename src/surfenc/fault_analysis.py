@@ -1,10 +1,10 @@
 """Exhaustive fault enumeration over noisy encoding circuits.
 
-Every noise instruction defines fault sites: one per qubit for single-qubit
-flip channels, one per pair for two-qubit depolarizing (with 15 basis
-faults).  A single backward sweep computes, for every qubit q, the final
-image of an X or Z inserted at the current position; recording the images at
-each noise site yields all single-fault residuals in one pass.  Residuals of
+Every noise instruction defines fault sites (Instruction.sites), each with
+the basis faults that circuit_ir.CHANNELS lists for its channel.  A single
+backward sweep computes, for every qubit q, the final image of an X or Z
+inserted at the current position; recording the images at each noise site
+yields all single-fault residuals in one pass.  Residuals of
 fault combinations are XORs of the single-fault residuals.  Propagation is
 linear, so the sweep runs in any image space: started from unit masks it
 gives the residuals themselves, started from a linear map of the final
@@ -37,26 +37,36 @@ analysis at d >= 5, nothing of size F x F is built for the F basis faults.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .circuit_ir import Circuit, Instruction
+from .circuit_ir import CHANNELS, Circuit, Instruction
 from .code_model import SurfaceCode
 from .decoder import CheckMatrix, SyndromeDecoder
 from .encoders import EncodingPlan, Scheme, Target, gadget_gates
-from .stab_sim import PauliString, pauli_letter, qubit_mask
+from .stab_sim import qubit_mask
 
-# the 15 two-qubit basis faults of DEPOLARIZE2 as (label, xa, za, xb, zb)
-_PAIR_BASES = tuple(
-    (pauli_letter(xa, za) + pauli_letter(xb, zb), xa, za, xb, zb)
-    for xa, za, xb, zb in itertools.product((0, 1), repeat=4)
-)[1:]
-_PAIR_LABELS = tuple(label for label, *_ in _PAIR_BASES)
-# per basis fault, the index 2 * on_a + on_b of its X part and of its Z part
-_PAIR_X = operator.itemgetter(*(2 * xa + xb for _, xa, _, xb, _ in _PAIR_BASES))
-_PAIR_Z = operator.itemgetter(*(2 * za + zb for _, _, za, _, zb in _PAIR_BASES))
+
+# per site width: entry s of a site's subset images is the XOR of the images
+# of the site qubits i in the bits of s
+_SUBSETS = {
+    1: lambda img, qs: (0, img[qs[0]]),
+    2: lambda img, qs: (0, img[qs[0]], img[qs[1]], img[qs[0]] ^ img[qs[1]]),
+}
+
+
+def _reader(bases):
+    """A channel's labels, its subset images, and getters of each basis
+    fault's X part and Z part from those."""
+    labels, xs, zs = zip(*bases)
+    if len(bases) == 1:  # a slice, so that the getters still return tuples
+        xs, zs = [(slice(i, i + 1),) for i in xs + zs]
+    return labels, _SUBSETS[len(labels[0])], itemgetter(*xs), itemgetter(*zs)
+
+
+_READERS = {name: _reader(bases) for name, bases in CHANNELS.items()}
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,7 @@ def backward_images(circuit: Circuit, images: tuple[list[int], list[int]]) -> Fa
     for layer, instr in reversed(list(circuit.instructions())):
         name = instr.name
         if name == "CX":
-            for c, t in reversed(instr.pairs()):
+            for c, t in reversed(instr.sites()):
                 img_x[c] ^= img_x[t]
                 img_z[t] ^= img_z[c]
         elif name in ("R", "RX"):
@@ -120,21 +130,15 @@ def backward_images(circuit: Circuit, images: tuple[list[int], list[int]]) -> Fa
         elif name == "MX":
             for q in instr.targets:
                 img_x[q] = 0
-        elif name == "DEPOLARIZE2":
-            for a, b in reversed(instr.pairs()):
-                ax, bx, az, bz = img_x[a], img_x[b], img_z[a], img_z[b]
+        elif name in CHANNELS:
+            labels, subsets, pick_x, pick_z = _READERS[name]
+            for qs in reversed(instr.sites()):
                 recorded.append((
-                    FaultSite(layer, name, (a, b)),
-                    _PAIR_LABELS,
-                    _PAIR_X((0, bx, ax, ax ^ bx)),
-                    _PAIR_Z((0, bz, az, az ^ bz)),
+                    FaultSite(layer, name, qs),
+                    labels,
+                    pick_x(subsets(img_x, qs)),
+                    pick_z(subsets(img_z, qs)),
                 ))
-        elif name == "X_ERROR":
-            for q in reversed(instr.targets):
-                recorded.append((FaultSite(layer, name, (q,)), ("X",), (img_x[q],), (0,)))
-        elif name == "Z_ERROR":
-            for q in reversed(instr.targets):
-                recorded.append((FaultSite(layer, name, (q,)), ("Z",), (0,), (img_z[q],)))
         else:
             raise ValueError(f"unsupported instruction {name}")
     recorded.reverse()
@@ -280,35 +284,27 @@ def hook_catalogue(plan: EncodingPlan) -> dict[int, list[HookFault]]:
     Residuals are taken at the end of the fan, split into the protected and
     complementary components on data, and the protected one is reduced
     modulo the fan's own check (whichever representative is lighter).
+    They come from backward_images over the fan alone, a DEPOLARIZE2 after
+    each of its gates, so gate_index is the fault's site.
     """
     code = plan.code
     protected = CheckMatrix.of(code, plan.target)
     complementary = CheckMatrix.of(code, plan.target, complementary=True)
     data_mask = qubit_mask(code.data_ids)
+    unit = [1 << q for q in range(code.n_qubits)]
 
     out: dict[int, list[HookFault]] = {}
     for g in itertools.chain.from_iterable(plan.stages):
         gates = [gate for gate in gadget_gates(g, plan.kind) if gate is not None]
         cmask = qubit_mask(g.check.support)
-        cxs = [Instruction("CX", gate) for gate in gates]
+        fan = [[Instruction("CX", pair), Instruction("DEPOLARIZE2", pair, 0.0)] for pair in gates]
+        table = backward_images(Circuit(code.n_qubits, fan), (unit, unit))
         entries = []
-        for gi, (c, t) in enumerate(gates):
-            for basis, xa, za, xb, zb in _PAIR_BASES:
-                pauli = PauliString(code.n_qubits, (xa << c) | (xb << t), (za << c) | (zb << t))
-                for cx in cxs[gi + 1 :]:
-                    pauli = pauli.propagate(cx)
-                prot = protected.read(pauli.x, pauli.z) & data_mask
-                comp = complementary.read(pauli.x, pauli.z) & data_mask
-                reduced = min(prot.bit_count(), (prot ^ cmask).bit_count())
-                entries.append(
-                    HookFault(
-                        gate_index=gi,
-                        basis=basis,
-                        protected_data=_bits(prot),
-                        protected_reduced_weight=reduced,
-                        complementary_data=_bits(comp),
-                    )
-                )
+        for gi, basis, x, z in zip(table.site, table.basis, table.res_x, table.res_z):
+            prot = protected.read(x, z) & data_mask
+            comp = complementary.read(x, z) & data_mask
+            reduced = min(prot.bit_count(), (prot ^ cmask).bit_count())
+            entries.append(HookFault(gi, basis, _bits(prot), reduced, _bits(comp)))
         out[g.check.ancilla] = entries
     return out
 

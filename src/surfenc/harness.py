@@ -10,9 +10,9 @@ is simulated.  Per point, one backward pass in the key space of the target's
 CheckMatrix (fault_analysis.backward_images, the same table the exhaustive
 enumeration reads) gives every basis fault its key, syndrome | logical
 parity << m for m checks, packed into uint64 words by CheckMatrix.pack.
-Per chunk, each noise instruction draws its hits through
-stab_sim.noise_draws, as the frame sampler does, and bitwise_xor.at XORs
-the keys of the hit faults into their shots.  SyndromeDecoder.failures
+Per chunk, each noise instruction draws its hits and their basis faults
+through stab_sim.noise_draws, as the frame sampler does, and bitwise_xor.at
+XORs the keys of the hit faults into their shots.  SyndromeDecoder.failures
 then judges the shots' keys, as it judges the exhaustive enumeration's.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .circuit_ir import Circuit
+from .circuit_ir import CHANNELS, Circuit
 from .code_model import CodeVariant, build_code, validate_distance
 from .decoder import SyndromeDecoder
 from .encoders import Scheme, Target, generate_circuit, noise_strength
@@ -180,7 +180,8 @@ def sample_fault_keys(
     """Per shot, the XOR of the keys of the basis faults that hit it.
 
     keys is word-major, (W, F) uint64: column f belongs to basis fault f of
-    the circuit's fault_analysis.backward_images table.
+    the circuit's fault_analysis.backward_images table, which lists each
+    noise site's basis faults in CHANNELS order, as noise_draws numbers them.
     The result is (W, shots) in the same layout.  The draws come from
     stab_sim.noise_draws, so for an equal rng column s is the linear map
     behind keys applied to shot s of sample_packed_frames.
@@ -190,13 +191,10 @@ def sample_fault_keys(
     for _, instr in circuit.instructions():
         if not instr.is_noise:
             continue
-        site, shot, k = noise_draws(instr, shots, rng)
-        if k is None:
-            fault = base + site
-            base += len(instr.targets)
-        else:
-            fault = base + 15 * site + k - 1
-            base += 15 * (len(instr.targets) // 2)
+        site, shot, b = noise_draws(instr, shots, rng)
+        per_site = len(CHANNELS[instr.name])
+        fault = base + per_site * site + b
+        base += per_site * len(instr.sites())
         # ufunc.at, so that faults hitting one shot all land
         for row, key in zip(acc, keys):
             np.bitwise_xor.at(row, shot, key[fault])
@@ -350,9 +348,17 @@ def read_results_csv(fileobj) -> list[PointResult]:
         raise ValueError(f"results CSV lacks the columns {missing}")
     results = []
     for row in reader:
-        if None in row.values():  # DictReader pads a short row with None
-            raise ValueError(f"results CSV line {reader.line_num} lacks fields")
-        results.append(PointResult(**{c: parse(row[c]) for c, parse in _CSV_FIELDS}))
+        line = f"results CSV line {reader.line_num}"
+        # DictReader files extra fields under None and pads a short row with None
+        if None in row or None in row.values():
+            raise ValueError(f"{line} has {'extra' if None in row else 'too few'} fields")
+        fields = {}
+        for c, parse in _CSV_FIELDS:
+            try:
+                fields[c] = parse(row[c])
+            except ValueError as exc:
+                raise ValueError(f"{line}, column {c!r}: {exc}") from None
+        results.append(PointResult(**fields))
     return results
 
 

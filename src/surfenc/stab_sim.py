@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_ir import Circuit, Instruction
-
-
-def pauli_letter(x: int, z: int) -> str:
-    """One qubit's Pauli from its X and Z bits."""
-    return "IXZY"[x + 2 * z]
+from .circuit_ir import CHANNELS, Circuit, Instruction
 
 
 def qubit_mask(qubits) -> int:
@@ -69,7 +64,7 @@ class PauliString:
 
     def label(self) -> str:
         return "".join(
-            pauli_letter((self.x >> q) & 1, (self.z >> q) & 1) for q in range(self.n)
+            "IXZY"[(self.x >> q & 1) + 2 * (self.z >> q & 1)] for q in range(self.n)
         )
 
     @property
@@ -90,7 +85,7 @@ class PauliString:
             return self
         if instr.name == "CX":
             x, z = self.x, self.z
-            for c, t in instr.pairs():
+            for c, t in instr.sites():
                 if (x >> c) & 1:
                     x ^= 1 << t
                 if (z >> t) & 1:
@@ -110,12 +105,6 @@ class PauliString:
                     )
             return self
         raise ValueError(f"cannot propagate past {instr.name}")
-
-    def propagate_circuit(self, circuit: Circuit) -> "PauliString":
-        p = self
-        for _, instr in circuit.instructions():
-            p = p.propagate(instr)
-        return p
 
 
 def _g_sum(x1, z1, x2, z2) -> int:
@@ -232,7 +221,7 @@ class BatchTableau:
         """Apply one instruction; returns (qubit, per-shot outcomes) for measurements."""
         name = instr.name
         if name == "CX":
-            for c, t in instr.pairs():
+            for c, t in instr.sites():
                 self.cx(c, t)
         elif name == "R":
             for q in instr.targets:
@@ -253,7 +242,7 @@ class BatchTableau:
                 mask = (self.rng.random(self.shots) < instr.arg).astype(np.uint8)
                 self.apply_z_masked(q, mask)
         elif name == "DEPOLARIZE2":
-            for a, b in instr.pairs():
+            for a, b in instr.sites():
                 mask = self.rng.random(self.shots) < instr.arg
                 k = self.rng.integers(1, 16, self.shots)
                 self.apply_x_masked(a, (mask & (((k >> 3) & 1) == 1)).astype(np.uint8))
@@ -304,26 +293,25 @@ def _sample_hits(
 
 def noise_draws(
     instr: Instruction, shots: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The random draws of one noise instruction over `shots` shots.
 
-    Returns (site, shot, k): the hit sites (an index into the targets of a
-    flip channel or into the pairs of DEPOLARIZE2), the shot of each hit
-    and, for DEPOLARIZE2, one Pauli k in 1..15 per hit (None for a flip
-    channel).  The frame sampler (sample_packed_frames) and the key sampler
+    Returns (site, shot, b): the hit sites (indices into instr.sites()), the
+    shot of each hit and its basis fault, drawn uniformly, as an index into
+    CHANNELS[instr.name] (zero, with no draw, for a one-fault channel).  The
+    frame sampler (sample_packed_frames) and the key sampler
     (harness.sample_fault_keys) both take their noise from here, so handed
     equal generators they consume them identically.
     """
-    pairwise = instr.name == "DEPOLARIZE2"
-    sites = len(instr.targets) // 2 if pairwise else len(instr.targets)
-    site, shot = _sample_hits(rng, sites, shots, instr.arg)
-    k = rng.integers(1, 16, len(site)) if pairwise else None
-    return site, shot, k
+    bases = len(CHANNELS[instr.name])
+    site, shot = _sample_hits(rng, len(instr.sites()), shots, instr.arg)
+    b = rng.integers(0, bases, len(site)) if bases > 1 else np.zeros_like(site)
+    return site, shot, b
 
 
-# DEPOLARIZE2 Pauli k in 1..15, bits most significant first: X on a, Z on a,
-# X on b, Z on b.  Bit j of that order is frame component j % 2 (0 = X,
-# 1 = Z) on pair side j // 2.
+# The frame sampler's own reading of a DEPOLARIZE2 draw b: bits of b + 1,
+# most significant first, are X on a, Z on a, X on b, Z on b.  Bit j of that
+# order is frame component j % 2 (0 = X, 1 = Z) on pair side j // 2.
 _DEPOL_SHIFTS = np.array([3, 2, 1, 0])
 
 
@@ -339,7 +327,7 @@ def sample_packed_frames(
     measurements leave the frame untouched.  Noise is sampled sparsely by
     noise_draws: a noise instruction draws its hit count, then the
     distinct hit positions over its sites x shots, then (for DEPOLARIZE2)
-    one Pauli in 1..15 per hit, so the draws scale with the number of
+    one of its 15 Paulis per hit, so the draws scale with the number of
     errors, not of shots.
     """
     n = circuit.n_qubits
@@ -356,7 +344,7 @@ def sample_packed_frames(
     for _, instr in circuit.instructions():
         name = instr.name
         if name == "CX":
-            for c, t in instr.pairs():
+            for c, t in instr.sites():
                 fx[t] ^= fx[c]
                 fz[c] ^= fz[t]
         elif name in ("R", "RX"):
@@ -367,9 +355,9 @@ def sample_packed_frames(
             site, shot, _ = noise_draws(instr, shots, rng)
             flip(0 if name == "X_ERROR" else 1, np.array(instr.targets)[site], shot)
         elif name == "DEPOLARIZE2":
-            site, shot, k = noise_draws(instr, shots, rng)
+            site, shot, b = noise_draws(instr, shots, rng)
             pairs = np.array(instr.targets).reshape(-1, 2)
-            hit, j = np.nonzero((k[:, None] >> _DEPOL_SHIFTS) & 1)
+            hit, j = np.nonzero(((b[:, None] + 1) >> _DEPOL_SHIFTS) & 1)
             flip(j % 2, pairs[site[hit], j // 2], shot[hit])
         else:
             raise ValueError(f"unsupported instruction {name}")

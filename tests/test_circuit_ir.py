@@ -1,6 +1,6 @@
 import pytest
 
-from surfenc.circuit_ir import Circuit, Instruction
+from surfenc.circuit_ir import CHANNELS, NOISE_NAMES, Circuit, Instruction
 
 
 def cx(*targets):
@@ -20,6 +20,16 @@ def test_instruction_validation():
         Instruction("M", (0,), 0.1)  # measurements take no argument
     with pytest.raises(ValueError):
         Instruction("R", ())
+
+
+@pytest.mark.parametrize("name", ["CX", "DEPOLARIZE2"])
+def test_a_pair_must_not_repeat_a_qubit(name):
+    arg = 0.1 if name == "DEPOLARIZE2" else None
+    with pytest.raises(ValueError, match=r"the pair \(2, 2\) repeats a qubit"):
+        Instruction(name, (0, 1, 2, 2), arg)
+    text = f"# qubits: 3\nCX 0 1\n{name}{'(0.1)' if arg else ''} 0 1 2 2\n"
+    with pytest.raises(ValueError, match=r"^line 3: .*repeats a qubit"):
+        Circuit.from_text(text)
 
 
 def test_layer_exclusivity():
@@ -90,6 +100,39 @@ def test_parse_errors():
         Circuit.from_text("# qubits: 2\nBADTOKEN 0\n")
     with pytest.raises(ValueError):
         Circuit.from_text("# qubits 2\nR 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# qubits: x\nR 0\n", r"^line 1: invalid literal for int\(\) with base 10: 'x'"),
+        ("# qubits: 2\nR 0\nX_ERROR(1.5) 0\n", r"^line 3: X_ERROR: probability"),
+        ("# qubits: 2\nX_ERROR(p) 0\n", r"^line 2: could not convert"),
+        ("# qubits: 2\n\nCX 0 1 1\n", r"^line 3: CX: targets must come in pairs"),
+        ("# qubits: 2\nM(0.5) 0\n", r"^line 2: M: takes no argument"),
+        ("# qubits: 2\nCX 0 1\nDEPOLARIZE2(0.1) 0 0\n", r"^line 3: DEPOLARIZE2: the pair"),
+    ],
+    ids=["qubits", "probability", "float", "odd", "argument", "repeat"],
+)
+def test_parse_errors_name_their_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        Circuit.from_text(text)
+
+
+def test_channels_list_distinct_paulis_that_match_their_labels():
+    assert NOISE_NAMES == set(CHANNELS)
+    for name, bases in CHANNELS.items():
+        width = len(bases[0][0])
+        assert all(len(label) == width for label, _, _ in bases), name
+        for label, x, z in bases:
+            assert 0 < (x | z) < 1 << width, (name, label)
+            for i, letter in enumerate(label):
+                assert letter == "IXZY"[(x >> i & 1) + 2 * (z >> i & 1)], (name, label)
+        assert len({(x, z) for _, x, z in bases}) == len(bases), name
+    pairs = {label for label, _, _ in CHANNELS["DEPOLARIZE2"]}
+    assert pairs == {a + b for a in "IXYZ" for b in "IXYZ"} - {"II"}
+    assert CHANNELS["X_ERROR"] == (("X", 1, 0),)
+    assert CHANNELS["Z_ERROR"] == (("Z", 0, 1),)
 
 
 def test_instructions_iterator_order():

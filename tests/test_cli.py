@@ -201,6 +201,8 @@ def test_compare_from_csv(tmp_path, capsys):
         (["compare", "{tmp}/missing.csv"], "No such file"),
         (["compare", "{tmp}/no_variant.csv"], "'variant'"),
         (["compare", "{tmp}/short_row.csv"], "line 3"),
+        (["compare", "{tmp}/long_row.csv"], "line 2 has extra fields"),
+        (["compare", "{tmp}/not_a_number.csv"], "line 3, column 'shots'"),
         (
             ["generate", "--variant", "rotated", "-d", "3", "--scheme", "ue",
              "--out", "{tmp}/no_such_dir/circ.txt"],
@@ -221,6 +223,15 @@ def test_io_errors_end_in_one_line(tmp_path, capsys, argv, needle):
         "variant,scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\n"
         "rotated,ue,zero,3,0.001,100,1,0.01,0.001,0.05\n"
         "rotated,uea,zero,3,0.001,100,1\n"
+    )
+    (tmp_path / "long_row.csv").write_text(
+        "variant,scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\n"
+        "rotated,ue,zero,3,0.001,100,1,0.01,0.001,0.05,7\n"
+    )
+    (tmp_path / "not_a_number.csv").write_text(
+        "variant,scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\n"
+        "rotated,ue,zero,3,0.001,100,1,0.01,0.001,0.05\n"
+        "rotated,uea,zero,3,0.001,many,1,0.01,0.001,0.05\n"
     )
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()

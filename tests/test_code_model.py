@@ -8,7 +8,6 @@ from surfenc.code_model import (
     CodeVariant,
     QubitRole,
     build_code,
-    check_commutation,
     x_check_rows,
     z_check_columns,
 )
@@ -77,6 +76,24 @@ def test_unrotated_d3_structure():
     # interior X check at (1,2) has all four neighbors
     interior = [c for c in code.x_checks if code.qubits[c.ancilla].col == 2]
     assert all(c.weight == 4 for c in interior)
+
+
+def check_commutation(code) -> bool:
+    """True iff all checks commute pairwise and with the opposite logicals.
+
+    Two Pauli products of opposite kind commute exactly when their supports
+    overlap on an even number of qubits.  Same-kind operators always commute.
+    """
+    z_supports = [set(c.support) for c in code.z_checks]
+    sets_x = [set(c.support) for c in code.x_checks] + [set(code.logical_x)]
+    sets_z = z_supports + [set(code.logical_z)]
+    for sx in sets_x:
+        for sz in sets_z:
+            if sx == set(code.logical_x) and sz == set(code.logical_z):
+                continue  # the logical pair must anticommute instead
+            if len(sx & sz) % 2:
+                return False
+    return len(set(code.logical_x) & set(code.logical_z)) % 2 == 1
 
 
 @pytest.mark.parametrize("variant", list(CodeVariant))

@@ -303,7 +303,7 @@ def test_gates_are_geometrically_local(variant, scheme):
                 + abs(code.qubits[a].col - code.qubits[b].col)
                 for _, instr in circuit.instructions()
                 if instr.name == "CX"
-                for a, b in instr.pairs()
+                for a, b in instr.sites()
             )
             assert reach == _CX_REACH[variant, scheme], (d, target)
 

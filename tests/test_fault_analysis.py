@@ -1,5 +1,6 @@
 """Fault enumeration: reverse images vs forward propagation, hooks, reports."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,16 @@ import pytest
 
 from surfenc.circuit_ir import Circuit, Instruction
 from surfenc.code_model import CodeVariant, build_code
-from surfenc.encoders import Scheme, Target, build_plan, generate_circuit, scramble_plan
+from surfenc.encoders import (
+    Scheme,
+    Target,
+    build_plan,
+    gadget_gates,
+    generate_circuit,
+    scramble_plan,
+)
 from surfenc.decoder import CheckMatrix, SyndromeDecoder
-from surfenc.fault_analysis import analyze_faults, backward_images, hook_catalogue
+from surfenc.fault_analysis import HookFault, analyze_faults, backward_images, hook_catalogue
 from surfenc.encoders import plan_to_circuit
 from surfenc.harness import _PointEngine
 from surfenc.stab_sim import PauliString
@@ -27,7 +35,7 @@ def _forward_sites(circuit):
     sites = []
     for pos, (layer, instr) in enumerate(flat):
         if instr.name == "DEPOLARIZE2":
-            for pair in instr.pairs():
+            for pair in instr.sites():
                 sites.append((layer, instr.name, pair, pos))
         elif instr.name in ("X_ERROR", "Z_ERROR"):
             for q in instr.targets:
@@ -310,6 +318,49 @@ def test_hook_catalogue_frozen_rotated_fan():
     assert grab(2, "XI").protected_data == (4,)
     # complementary flips on a gate stay put and can pair with the pivot
     assert grab(1, "ZZ").complementary_data == (4, 5)
+
+
+def _hook_catalogue_forward(plan):
+    """hook_catalogue's reference: every two-qubit Pauli after every fan
+    gate, pushed forward through the rest of the fan by PauliString.propagate."""
+    code = plan.code
+    protected = CheckMatrix.of(code, plan.target)
+    complementary = CheckMatrix.of(code, plan.target, complementary=True)
+    data_mask = sum(1 << q for q in code.data_ids)
+
+    def bits(mask):
+        return tuple(q for q in range(code.n_qubits) if mask >> q & 1)
+
+    out = {}
+    for g in itertools.chain.from_iterable(plan.stages):
+        gates = [gate for gate in gadget_gates(g, plan.kind) if gate is not None]
+        cmask = sum(1 << q for q in g.check.support)
+        cxs = [Instruction("CX", gate) for gate in gates]
+        entries = []
+        for gi, (c, t) in enumerate(gates):
+            for xa, za, xb, zb in list(itertools.product((0, 1), repeat=4))[1:]:
+                basis = PauliString(2, xa | xb << 1, za | zb << 1).label()
+                pauli = PauliString(code.n_qubits, xa << c | xb << t, za << c | zb << t)
+                for cx in cxs[gi + 1 :]:
+                    pauli = pauli.propagate(cx)
+                prot = protected.read(pauli.x, pauli.z) & data_mask
+                comp = complementary.read(pauli.x, pauli.z) & data_mask
+                reduced = min(prot.bit_count(), (prot ^ cmask).bit_count())
+                entries.append(HookFault(gi, basis, bits(prot), reduced, bits(comp)))
+        out[g.check.ancilla] = entries
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("variant", list(CodeVariant))
+def test_hook_catalogue_equals_forward_propagation(variant, d):
+    code = build_code(variant, d)
+    for scheme in Scheme:
+        for target in Target:
+            plan = build_plan(code, scheme, target)
+            plans = [plan, scramble_plan(plan)] if scheme is Scheme.UE else [plan]
+            for each in plans:
+                assert hook_catalogue(each) == _hook_catalogue_forward(each)
 
 
 def test_hook_catalogue_bounds_all_plans():

@@ -293,6 +293,37 @@ def test_results_identical_across_worker_counts():
     assert a.getvalue() == b.getvalue()
 
 
+# Failure counts of small fixed-seed runs at two noise strengths, three
+# chunks per point, so they pin the noise draws of six chunk streams each.
+# A change to how or in which order the noise is drawn shows here.  The
+# unrotated d=9 code has 72 checks, so its keys take two uint64 words.
+FROZEN_FAILURES = {
+    ("rotated", "ue", "zero", 3, (0.01, 0.03), 3000): (7, 57),
+    ("rotated", "uea", "plus", 5, (0.01, 0.03), 3000): (14, 145),
+    ("unrotated", "me", "zero", 3, (0.01, 0.03), 3000): (36, 183),
+    ("unrotated", "uea", "zero", 9, (0.02, 0.025), 600): (4, 11),
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(FROZEN_FAILURES), ids=lambda k: "-".join(map(str, k[:4]))
+)
+def test_failure_counts_are_frozen(key):
+    variant, scheme, target, d, strengths, shots = key
+    cfg = ExperimentConfig(
+        variant=variant,
+        scheme=scheme,
+        target=target,
+        distances=(d,),
+        noise_strengths=strengths,
+        shots=shots,
+        seed=11,
+        chunk=shots // 3,
+        workers=1,
+    )
+    assert tuple(r.failures for r in run_experiment(cfg)) == FROZEN_FAILURES[key]
+
+
 def test_adaptive_stopping_trims_shots():
     cfg = ExperimentConfig(
         variant="rotated",

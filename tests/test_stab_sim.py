@@ -62,7 +62,9 @@ def test_pauli_propagate_matches_frame_sim():
         q = int(rng.integers(n))
         kind = "X" if rng.random() < 0.5 else "Z"
         seed_pauli = PauliString.from_support(n, [q], kind)
-        expect = seed_pauli.propagate_circuit(circuit)
+        expect = seed_pauli
+        for _, instr in circuit.instructions():
+            expect = expect.propagate(instr)
 
         fx = np.zeros((1, n), dtype=bool)
         fz = np.zeros((1, n), dtype=bool)
