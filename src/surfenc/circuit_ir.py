@@ -83,6 +83,15 @@ class Instruction:
         return head + " " + " ".join(str(t) for t in self.targets)
 
 
+class LayerError(ValueError):
+    """A layer rule broken by instruction `index` of layer `layer`."""
+
+    def __init__(self, layer: int, index: int, message: str):
+        super().__init__(f"layer {layer}: {message}")
+        self.layer = layer
+        self.index = index
+
+
 @dataclass
 class Circuit:
     n_qubits: int
@@ -97,19 +106,15 @@ class Circuit:
             raise ValueError("n_qubits must be positive")
         for k, layer in enumerate(self.layers):
             touched: set[int] = set()
-            for instr in layer:
+            for i, instr in enumerate(layer):
                 bad = [t for t in instr.targets if not 0 <= t < self.n_qubits]
                 if bad:
-                    raise ValueError(
-                        f"layer {k}: target {bad[0]} outside 0..{self.n_qubits - 1}"
-                    )
+                    raise LayerError(k, i, f"target {bad[0]} outside 0..{self.n_qubits - 1}")
                 if instr.is_noise:
                     continue
                 for t in instr.targets:
                     if t in touched:
-                        raise ValueError(
-                            f"layer {k}: qubit {t} touched by two instructions"
-                        )
+                        raise LayerError(k, i, f"qubit {t} touched by two instructions")
                     touched.add(t)
 
     def instructions(self):
@@ -153,32 +158,44 @@ class Circuit:
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        n_qubits = None
+        n_qubits = qubits_line = None
         metadata: dict = {}
         layers: list[list[Instruction]] = [[]]
+        # line number of every instruction, laid out like layers
+        lines: list[list[int]] = [[]]
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             try:
                 if line == "TICK":
                     layers.append([])
+                    lines.append([])
                 elif line.startswith("#"):
                     m = re.match(r"#\s*([^:]+?)\s*:\s*(.*)$", line)
                     if not m:
                         raise ValueError(f"malformed header {line!r}")
                     key, value = m.group(1), m.group(2)
                     if key == "qubits":
+                        if qubits_line is not None:
+                            raise ValueError("repeated '# qubits' header")
                         n_qubits = int(value)
+                        qubits_line = lineno
                     else:
                         metadata[key] = value
                 elif line:
                     layers[-1].append(_parse_instruction(line))
+                    lines[-1].append(lineno)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         if n_qubits is None:
             raise ValueError("missing '# qubits: N' header")
         if layers and not layers[-1]:
             layers.pop()
-        return cls(n_qubits=n_qubits, layers=layers, metadata=metadata)
+        try:
+            return cls(n_qubits=n_qubits, layers=layers, metadata=metadata)
+        except LayerError as exc:
+            raise ValueError(f"line {lines[exc.layer][exc.index]}: {exc}") from None
+        except ValueError as exc:  # the qubit count
+            raise ValueError(f"line {qubits_line}: {exc}") from None
 
 
 _INSTRUCTION_RE = re.compile(

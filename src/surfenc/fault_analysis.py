@@ -70,34 +70,25 @@ _READERS = {name: _reader(bases) for name, bases in CHANNELS.items()}
 
 
 @dataclass(frozen=True)
-class FaultSite:
-    """One elementary noise channel: a flip qubit or a depolarizing pair."""
-
-    layer: int
-    channel: str
-    qubits: tuple[int, ...]
-
-    def describe(self, basis: str) -> str:
-        qs = ",".join(str(q) for q in self.qubits)
-        return f"L{self.layer}:{self.channel}({qs}):{basis}"
-
-
-@dataclass(frozen=True)
 class FaultTable:
     """Every basis fault of a circuit in reading order, as columns.
 
-    Entry f of site, basis, res_x and res_z is basis fault f's index into
-    sites, its Pauli label and the images of its residual's X and Z parts.
+    A site is one elementary noise channel, (layer, channel, qubits): a flip
+    qubit or a depolarizing pair.  Entry f of site, basis, res_x and res_z is
+    basis fault f's index into sites, its Pauli label and the images of its
+    residual's X and Z parts.
     """
 
-    sites: tuple[FaultSite, ...]
+    sites: tuple[tuple[int, str, tuple[int, ...]], ...]
     site: list[int]
     basis: list[str]
     res_x: list[int]
     res_z: list[int]
 
     def describe(self, f: int) -> str:
-        return self.sites[self.site[f]].describe(self.basis[f])
+        layer, channel, qubits = self.sites[self.site[f]]
+        qs = ",".join(str(q) for q in qubits)
+        return f"L{layer}:{channel}({qs}):{self.basis[f]}"
 
 
 def backward_images(circuit: Circuit, images: tuple[list[int], list[int]]) -> FaultTable:
@@ -134,7 +125,7 @@ def backward_images(circuit: Circuit, images: tuple[list[int], list[int]]) -> Fa
             labels, subsets, pick_x, pick_z = _READERS[name]
             for qs in reversed(instr.sites()):
                 recorded.append((
-                    FaultSite(layer, name, qs),
+                    (layer, name, qs),
                     labels,
                     pick_x(subsets(img_x, qs)),
                     pick_z(subsets(img_z, qs)),

@@ -11,9 +11,10 @@ CheckMatrix (fault_analysis.backward_images, the same table the exhaustive
 enumeration reads) gives every basis fault its key, syndrome | logical
 parity << m for m checks, packed into uint64 words by CheckMatrix.pack.
 Per chunk, each noise instruction draws its hits and their basis faults
-through stab_sim.noise_draws, as the frame sampler does, and bitwise_xor.at
-XORs the keys of the hit faults into their shots.  SyndromeDecoder.failures
-then judges the shots' keys, as it judges the exhaustive enumeration's.
+through stab_sim.noise_draws, as the reference frame sampler
+stab_sim.sample_final_frames does, and bitwise_xor.at XORs the keys of the
+hit faults into their shots.  SyndromeDecoder.failures then judges the
+shots' keys, as it judges the exhaustive enumeration's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 import math
 import multiprocessing
 import operator
-import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -85,7 +85,7 @@ class ExperimentConfig:
     noise_strengths: tuple[float, ...] = (1e-3,)
     shots: int = 100_000
     seed: int = 0
-    workers: int | None = None
+    workers: int = 1
     min_failures: int | None = None
     chunk: int = CHUNK_SHOTS
 
@@ -101,8 +101,7 @@ class ExperimentConfig:
         self.shots = _integer("shots", self.shots)
         self.seed = _integer("seed", self.seed)
         self.chunk = _integer("chunk", self.chunk)
-        if self.workers is not None:
-            self.workers = _integer("workers", self.workers)
+        self.workers = _integer("workers", self.workers)
         if self.min_failures is not None:
             self.min_failures = _integer("min_failures", self.min_failures)
         if self.shots <= 0:
@@ -111,7 +110,7 @@ class ExperimentConfig:
             raise ValueError("chunk must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.min_failures is not None and self.min_failures <= 0:
             raise ValueError(f"min_failures must be positive, got {self.min_failures}")
@@ -184,7 +183,7 @@ def sample_fault_keys(
     noise site's basis faults in CHANNELS order, as noise_draws numbers them.
     The result is (W, shots) in the same layout.  The draws come from
     stab_sim.noise_draws, so for an equal rng column s is the linear map
-    behind keys applied to shot s of sample_packed_frames.
+    behind keys applied to shot s of stab_sim.sample_final_frames.
     """
     acc = np.zeros((len(keys), shots), dtype=keys.dtype)
     base = 0
@@ -241,16 +240,6 @@ def _chunk_plan(total_shots: int, chunk: int) -> list[int]:
     return sizes
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return workers
-    raw = os.environ.get("SURFENC_WORKERS", "1")
-    # str.isdigit alone accepts digits such as "²" that int() rejects
-    if not (raw.strip().isascii() and raw.strip().isdigit()) or int(raw) < 1:
-        raise ValueError(f"SURFENC_WORKERS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def _in_order(pool, tasks: list[tuple], workers: int):
     """Chunk results in chunk order, with one chunk queued past the busy workers.
 
@@ -275,13 +264,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
     `workers` chunks past that one.  Chunk order is also what keeps
     multi-worker runs identical to single-worker runs.
     """
-    workers = resolve_workers(config.workers)
     points = [
         (d, p) for d in config.distances for p in config.noise_strengths
     ]
     sizes = _chunk_plan(config.shots, config.chunk)
     results: list[PointResult] = []
-    pool = multiprocessing.Pool(workers) if workers > 1 else None
+    pool = multiprocessing.Pool(config.workers) if config.workers > 1 else None
     try:
         for point_index, (d, p) in enumerate(points):
             tasks = [
@@ -300,7 +288,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
             ]
             failures = 0
             shots_done = 0
-            stream = _in_order(pool, tasks, workers) if pool else map(_chunk_task, tasks)
+            stream = _in_order(pool, tasks, config.workers) if pool else map(_chunk_task, tasks)
             for chunk_id, chunk_failures in enumerate(stream):
                 failures += chunk_failures
                 shots_done += sizes[chunk_id]

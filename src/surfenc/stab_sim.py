@@ -9,17 +9,15 @@ Three independent execution routes over the same circuit IR:
   sampled.  CX and reset patterns are identical across shots, so the
   binary part of the tableau is shared and only the per-shot sign bits
   (plus measurement outcomes) are batched.
-* sample_packed_frames: packed, sparse-noise Pauli-frame Monte Carlo;
-  returns the accumulated X and Z frame components at the end of the
-  circuit, 64 shots per uint64 word.  sample_final_frames unpacks them.
-  It is the reference for the Monte Carlo harness, not its hot path: the
-  harness XORs per-fault syndrome keys instead of propagating frames, and
-  both take their noise from noise_draws, so for one rng they see the same
-  faults in the same shots.
+* sample_final_frames: sparse-noise Pauli-frame Monte Carlo on bool
+  frames; returns the accumulated X and Z frame components at the end of
+  the circuit.  It is the reference for the Monte Carlo harness, not its
+  hot path: the harness XORs per-fault syndrome keys instead of
+  propagating frames, and both take their noise from noise_draws, so for
+  one rng they see the same faults in the same shots.
 
 Conventions: qubit q's X/Z component is bit q of an integer mask
-(PauliString), column q of a bool array (tableau, unpacked frames) or row q
-of a packed frame.
+(PauliString) or column q of a bool array (tableau, frames).
 """
 
 from __future__ import annotations
@@ -299,7 +297,7 @@ def noise_draws(
     Returns (site, shot, b): the hit sites (indices into instr.sites()), the
     shot of each hit and its basis fault, drawn uniformly, as an index into
     CHANNELS[instr.name] (zero, with no draw, for a one-fault channel).  The
-    frame sampler (sample_packed_frames) and the key sampler
+    frame sampler (sample_final_frames) and the key sampler
     (harness.sample_fault_keys) both take their noise from here, so handed
     equal generators they consume them identically.
     """
@@ -315,32 +313,21 @@ def noise_draws(
 _DEPOL_SHIFTS = np.array([3, 2, 1, 0])
 
 
-def sample_packed_frames(
+def sample_final_frames(
     circuit: Circuit, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli-frame Monte Carlo: packed (x_frame, z_frame), (n, ceil(shots/64)).
+    """Pauli-frame Monte Carlo: final (x_frame, z_frame) bool arrays (shots, n).
 
-    Frames are qubit-major with 64 shots per uint64 word: shot s of qubit q
-    is bit s % 64 of word [q, s // 64], and the padding bits past `shots`
-    stay zero.  The frame is the accumulated Pauli error relative to the
-    noiseless run.  A CX is two row XORs and a reset zeroes two rows;
-    measurements leave the frame untouched.  Noise is sampled sparsely by
-    noise_draws: a noise instruction draws its hit count, then the
-    distinct hit positions over its sites x shots, then (for DEPOLARIZE2)
-    one of its 15 Paulis per hit, so the draws scale with the number of
-    errors, not of shots.
+    The frame is the accumulated Pauli error relative to the noiseless run,
+    kept as one bool array (component, qubit, shot) with component 0 = X and
+    1 = Z.  A CX is two row XORs and a reset zeroes two rows; measurements
+    leave the frame untouched.  Noise is sampled sparsely by noise_draws: a
+    noise instruction draws its hit count, then the distinct hit positions
+    over its sites x shots, then (for DEPOLARIZE2) one of its 15 Paulis per
+    hit, so the draws scale with the number of errors, not of shots.
     """
-    n = circuit.n_qubits
-    words = (shots + 63) // 64
-    frames = np.zeros((2, n, words), dtype=np.uint64)
+    frames = np.zeros((2, circuit.n_qubits, shots), dtype=bool)
     fx, fz = frames
-    flat = frames.reshape(-1)
-
-    def flip(component, qubit, shot):
-        # XOR one bit per hit; ufunc.at so that hits sharing a word all land
-        bits = np.left_shift(np.uint64(1), (shot & 63).astype(np.uint64))
-        np.bitwise_xor.at(flat, (component * n + qubit) * words + (shot >> 6), bits)
-
     for _, instr in circuit.instructions():
         name = instr.name
         if name == "CX":
@@ -348,34 +335,19 @@ def sample_packed_frames(
                 fx[t] ^= fx[c]
                 fz[c] ^= fz[t]
         elif name in ("R", "RX"):
-            frames[:, list(instr.targets)] = 0
+            frames[:, list(instr.targets)] = False
         elif name in ("M", "MX"):
             pass
         elif name in ("X_ERROR", "Z_ERROR"):
             site, shot, _ = noise_draws(instr, shots, rng)
-            flip(0 if name == "X_ERROR" else 1, np.array(instr.targets)[site], shot)
+            qubit = np.array(instr.targets)[site]
+            # ufunc.at, so that hits on one frame bit all land
+            np.bitwise_xor.at(frames, (0 if name == "X_ERROR" else 1, qubit, shot), True)
         elif name == "DEPOLARIZE2":
             site, shot, b = noise_draws(instr, shots, rng)
             pairs = np.array(instr.targets).reshape(-1, 2)
             hit, j = np.nonzero(((b[:, None] + 1) >> _DEPOL_SHIFTS) & 1)
-            flip(j % 2, pairs[site[hit], j // 2], shot[hit])
+            np.bitwise_xor.at(frames, (j % 2, pairs[site[hit], j // 2], shot[hit]), True)
         else:
             raise ValueError(f"unsupported instruction {name}")
-    return fx, fz
-
-
-def unpack_shots(packed: np.ndarray, shots: int) -> np.ndarray:
-    """Bool bits (..., shots) of packed uint64 words (..., ceil(shots/64))."""
-    as_bytes = packed.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=-1, count=shots, bitorder="little").view(bool)
-
-
-def sample_final_frames(
-    circuit: Circuit, shots: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """sample_packed_frames unpacked to (x_frame, z_frame) bool arrays (shots, n)."""
-    fx, fz = sample_packed_frames(circuit, shots, rng)
-    return (
-        np.ascontiguousarray(unpack_shots(fx, shots).T),
-        np.ascontiguousarray(unpack_shots(fz, shots).T),
-    )
+    return np.ascontiguousarray(fx.T), np.ascontiguousarray(fz.T)

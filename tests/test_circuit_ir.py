@@ -111,8 +111,15 @@ def test_parse_errors():
         ("# qubits: 2\n\nCX 0 1 1\n", r"^line 3: CX: targets must come in pairs"),
         ("# qubits: 2\nM(0.5) 0\n", r"^line 2: M: takes no argument"),
         ("# qubits: 2\nCX 0 1\nDEPOLARIZE2(0.1) 0 0\n", r"^line 3: DEPOLARIZE2: the pair"),
+        ("# qubits: 2\nCX 0 5\n", r"^line 2: layer 0: target 5 outside 0\.\.1"),
+        ("# qubits: 3\nCX 0 1\nR 1\n", r"^line 3: layer 0: qubit 1 touched by two"),
+        ("# qubits: 2\n# qubits: 3\nCX 0 2\n", r"^line 2: repeated '# qubits' header"),
+        ("R 0\n# qubits: 0\n", r"^line 2: n_qubits must be positive"),
     ],
-    ids=["qubits", "probability", "float", "odd", "argument", "repeat"],
+    ids=[
+        "qubits", "probability", "float", "odd", "argument", "repeat",
+        "bounds", "exclusive", "header-twice", "zero-qubits",
+    ],
 )
 def test_parse_errors_name_their_line(text, message):
     with pytest.raises(ValueError, match=message):

@@ -90,8 +90,7 @@ def test_backward_images_match_forward_propagation(variant, scheme, target):
 
     for idx, (layer, channel, qubits, pos) in enumerate(sites):
         group = by_site[idx]
-        site = table.sites[idx]
-        assert (site.layer, site.channel, site.qubits) == (layer, channel, qubits)
+        assert table.sites[idx] == (layer, channel, qubits)
         assert len(group) == (15 if channel == "DEPOLARIZE2" else 1)
         for f in group:
             want = _forward_residual(circuit, flat, pos, qubits, table.basis[f])
@@ -129,9 +128,10 @@ def test_single_qubit_flip_sites_have_matching_basis():
     circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
     table = _residuals(circuit)
     for i, basis in zip(table.site, table.basis):
-        if table.sites[i].channel == "X_ERROR":
+        _, channel, _ = table.sites[i]
+        if channel == "X_ERROR":
             assert basis == "X"
-        elif table.sites[i].channel == "Z_ERROR":
+        elif channel == "Z_ERROR":
             assert basis == "Z"
         else:
             assert len(basis) == 2 and basis != "II"
@@ -140,9 +140,9 @@ def test_single_qubit_flip_sites_have_matching_basis():
 def test_site_description_format():
     circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
     table = _residuals(circuit)
-    text = table.describe(0)
-    assert text.startswith(f"L{table.sites[table.site[0]].layer}:")
-    assert table.basis[0] in text
+    layer, channel, qubits = table.sites[table.site[0]]
+    qs = ",".join(map(str, qubits))
+    assert table.describe(0) == f"L{layer}:{channel}({qs}):{table.basis[0]}"
 
 
 def test_check_matrix_me_includes_outcome_bits():
@@ -409,7 +409,7 @@ def test_reverse_pass_on_handmade_measure_circuit():
     by_basis = {
         table.basis[f]: (table.res_x[f], table.res_z[f])
         for f, i in enumerate(table.site)
-        if table.sites[i].channel == "DEPOLARIZE2"
+        if table.sites[i][1] == "DEPOLARIZE2"
     }
     assert by_basis["IX"] == (0b10, 0)
     assert by_basis["IZ"] == (0, 0)

@@ -19,12 +19,11 @@ from surfenc.harness import (
     chunk_rng,
     compare_schemes,
     read_results_csv,
-    resolve_workers,
     run_experiment,
     wilson_interval,
     write_results_csv,
 )
-from surfenc.stab_sim import sample_final_frames, sample_packed_frames
+from surfenc.stab_sim import sample_final_frames
 
 
 def test_wilson_against_statsmodels():
@@ -120,6 +119,7 @@ def test_config_validation_and_roundtrip():
         ("shots", 1e6),
         ("chunk", 4096.0),
         ("workers", 2.0),
+        ("workers", None),
         ("min_failures", 1.5),
         ("distances", (3.7,)),
         ("distances", (3, "5")),
@@ -155,20 +155,8 @@ def test_config_stores_enum_members_as_their_values():
 
 def test_config_accepts_range_edges():
     ExperimentConfig(seed=2**64 - 1, min_failures=1, workers=1)
-    ExperimentConfig(min_failures=None, workers=None)
+    ExperimentConfig(min_failures=None)
     chunk_rng(2**64 - 1, 0, 0)  # the largest seed still keys Philox
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("SURFENC_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("SURFENC_WORKERS", "5")
-    assert resolve_workers(None) == 5
-    for bad in ("0", "-3", "two", "1.5", "", "²"):
-        monkeypatch.setenv("SURFENC_WORKERS", bad)
-        with pytest.raises(ValueError, match="SURFENC_WORKERS"):
-            resolve_workers(None)
 
 
 def _per_shot_failures(variant, scheme, d, p, shots, seed):
@@ -234,14 +222,12 @@ def test_failure_count_matches_per_shot_decoding_on_multibyte_syndromes(
 
 
 def _frame_keys(matrix, circuit, shots, rng):
-    """Per-shot syndrome | parity << m of sample_packed_frames' frames,
+    """Per-shot syndrome | parity << m of sample_final_frames' frames,
     read through the CheckMatrix one shot at a time."""
     m = len(matrix.rows)
-    frame = matrix.read(*sample_packed_frames(circuit, shots, rng))
     keys = []
-    for s in range(shots):
-        word, bit = divmod(s, 64)
-        mask = sum(1 << q for q in range(circuit.n_qubits) if int(frame[q, word]) >> bit & 1)
+    for row in matrix.read(*sample_final_frames(circuit, shots, rng)):
+        mask = sum(1 << q for q, bit in enumerate(row) if bit)
         keys.append(matrix.syndrome(mask) | matrix.logical_parity(mask) << m)
     return keys
 
