@@ -174,9 +174,9 @@ class Circuit:
                     if not m:
                         raise ValueError(f"malformed header {line!r}")
                     key, value = m.group(1), m.group(2)
+                    if key in metadata or (key == "qubits" and qubits_line is not None):
+                        raise ValueError(f"repeated '# {key}' header")
                     if key == "qubits":
-                        if qubits_line is not None:
-                            raise ValueError("repeated '# qubits' header")
                         n_qubits = int(value)
                         qubits_line = lineno
                     else:

@@ -6,11 +6,21 @@ Two planar variants are supported, both at arbitrary odd distance d >= 3:
 * unrotated: d*d + (d-1)*(d-1) data qubits, d*(d-1) checks of each kind,
   weights {3, 4}.
 
-Coordinates live on a doubled integer grid so that check ancillas (which sit
-at plaquette centers) get integer coordinates too.  For the rotated code,
-data qubits occupy odd-odd sites (2r+1, 2c+1) and ancillas even-even sites;
-for the unrotated code, data qubits occupy sites with even coordinate sum and
-ancillas the sites with odd coordinate sum.
+Both come from one rule set on a doubled integer grid of side s, so that
+check ancillas (which sit at plaquette centers) get integer coordinates too.
+The variants differ only in five parameters:
+
+  variant    s      data sites    check sites   support     X check iff
+  rotated    2d+1   odd-odd       even-even     diagonal    (row+col)/2 odd
+  unrotated  2d-1   row+col even  row+col odd   orthogonal  row odd
+
+A check's support is its data neighbours (diagonal or orthogonal), in
+row-major order.  A check site with at least 3 of them holds a check; one
+with exactly 2 holds one only on the boundary its kind truncates (column 0
+or s-1 for X, row 0 or s-1 for Z); lighter sites hold none.  Data qubits are
+numbered row-major from 0, and the ancillas of the checks follow them in
+row-major order.  row_index is (row-1)//2 for an X check and (col-1)//2 for
+a Z check.
 
 Orientation is fixed: the logical Z is the leftmost vertical column of data
 qubits, the logical X the topmost horizontal row, overlapping in exactly one
@@ -52,7 +62,7 @@ class StabilizerCheck:
 
     support is ordered row-major (top to bottom, then left to right).
     row_index is the geometric row for X checks and the geometric column for
-    Z checks; it is the grouping key used by x_check_rows / z_check_columns.
+    Z checks; it is the grouping key of check_groups.
     """
 
     kind: str
@@ -102,121 +112,70 @@ def validate_distance(d) -> int:
     return int(d)
 
 
+# The module docstring's rule table, one row per variant: s - 2d, data site?,
+# check site?, neighbour offsets (row-major), X check?
+_RULES = {
+    CodeVariant.ROTATED: (
+        1,
+        lambda r, c: r % 2 == 1 and c % 2 == 1,
+        lambda r, c: r % 2 == 0 and c % 2 == 0,
+        ((-1, -1), (-1, 1), (1, -1), (1, 1)),
+        lambda r, c: (r + c) // 2 % 2 == 1,
+    ),
+    CodeVariant.UNROTATED: (
+        -1,
+        lambda r, c: (r + c) % 2 == 0,
+        lambda r, c: (r + c) % 2 == 1,
+        ((-1, 0), (0, -1), (0, 1), (1, 0)),
+        lambda r, c: r % 2 == 1,
+    ),
+}
+
+
 def build_code(variant: CodeVariant | str, d: int) -> SurfaceCode:
     """Construct the lattice, checks, and logicals for the given variant."""
     d = validate_distance(d)
-    if CodeVariant(variant) is CodeVariant.ROTATED:
-        return _build_rotated(d)
-    return _build_unrotated(d)
-
-
-def _build_rotated(d: int) -> SurfaceCode:
-    # Data qubit (r, c) -> id r*d + c, coordinate (2r+1, 2c+1).
-    qubits = [
-        Qubit(r * d + c, QubitRole.DATA, 2 * r + 1, 2 * c + 1)
-        for r in range(d)
-        for c in range(d)
-    ]
-
-    def data_id(r: int, c: int) -> int:
-        return r * d + c
-
-    # Plaquette cell (r, c) covers data rows r..r+1, cols c..c+1.  Cells with
-    # odd r+c hold X checks, even r+c hold Z checks; the pattern extends one
-    # virtual ring outward, truncated to weight-2 checks on the boundaries.
-    cells: list[tuple[int, int, str]] = []
-    for r in range(-1, d):
-        for c in range(-1, d):
-            kind = "X" if (r + c) % 2 else "Z"
-            interior = 0 <= r <= d - 2 and 0 <= c <= d - 2
-            left_right = c in (-1, d - 1) and 0 <= r <= d - 2 and kind == "X"
-            top_bottom = r in (-1, d - 1) and 0 <= c <= d - 2 and kind == "Z"
-            if interior or left_right or top_bottom:
-                cells.append((r, c, kind))
-
-    cells.sort(key=lambda rc: (rc[0], rc[1]))
-    ancilla_start = d * d
-    x_checks, z_checks = [], []
-    for offset, (r, c, kind) in enumerate(cells):
-        aid = ancilla_start + offset
+    variant = CodeVariant(variant)
+    grow, is_data, is_check, offsets, is_x = _RULES[variant]
+    side = 2 * d + grow
+    sites = [(r, c) for r in range(side) for c in range(side)]
+    data_ids = {site: i for i, site in enumerate(s for s in sites if is_data(*s))}
+    qubits = [Qubit(i, QubitRole.DATA, r, c) for (r, c), i in data_ids.items()]
+    checks: dict[str, list[StabilizerCheck]] = {"X": [], "Z": []}
+    for r, c in sites:
+        if not is_check(r, c):
+            continue
+        kind = "X" if is_x(r, c) else "Z"
         support = tuple(
-            data_id(rr, cc)
-            for rr in (r, r + 1)
-            for cc in (c, c + 1)
-            if 0 <= rr < d and 0 <= cc < d
+            data_ids[r + dr, c + dc] for dr, dc in offsets if (r + dr, c + dc) in data_ids
         )
-        row_index = r if kind == "X" else c
-        check = StabilizerCheck(kind, support, aid, row_index)
-        (x_checks if kind == "X" else z_checks).append(check)
-        qubits.append(Qubit(aid, QubitRole.ANCILLA, 2 * r + 2, 2 * c + 2))
-
-    return SurfaceCode(
-        variant=CodeVariant.ROTATED,
-        d=d,
-        qubits=tuple(qubits),
-        x_checks=tuple(x_checks),
-        z_checks=tuple(z_checks),
-        logical_x=tuple(data_id(0, c) for c in range(d)),
-        logical_z=tuple(data_id(r, 0) for r in range(d)),
-    )
-
-
-def _build_unrotated(d: int) -> SurfaceCode:
-    span = 2 * d - 1
-    qubits: list[Qubit] = []
-    data_ids: dict[tuple[int, int], int] = {}
-    for i in range(span):
-        for j in range(span):
-            if (i + j) % 2 == 0:
-                data_ids[(i, j)] = len(qubits)
-                qubits.append(Qubit(len(qubits), QubitRole.DATA, i, j))
-
-    ancilla_sites = [
-        (i, j) for i in range(span) for j in range(span) if (i + j) % 2 == 1
-    ]
-    ancilla_sites.sort()
-
-    x_checks, z_checks = [], []
-    for i, j in ancilla_sites:
+        truncated_edge = (c if kind == "X" else r) in (0, side - 1)
+        if len(support) < 2 or (len(support) == 2 and not truncated_edge):
+            continue
         aid = len(qubits)
-        qubits.append(Qubit(aid, QubitRole.ANCILLA, i, j))
-        support = tuple(
-            data_ids[(ii, jj)]
-            for ii, jj in ((i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j))
-            if (ii, jj) in data_ids
-        )
-        if i % 2 == 1:  # odd row, even column: X check
-            x_checks.append(StabilizerCheck("X", support, aid, (i - 1) // 2))
-        else:  # even row, odd column: Z check
-            z_checks.append(StabilizerCheck("Z", support, aid, (j - 1) // 2))
+        qubits.append(Qubit(aid, QubitRole.ANCILLA, r, c))
+        row_index = (r - 1) // 2 if kind == "X" else (c - 1) // 2
+        checks[kind].append(StabilizerCheck(kind, support, aid, row_index))
 
+    top, left = qubits[0].row, qubits[0].col
     return SurfaceCode(
-        variant=CodeVariant.UNROTATED,
+        variant=variant,
         d=d,
         qubits=tuple(qubits),
-        x_checks=tuple(x_checks),
-        z_checks=tuple(z_checks),
-        logical_x=tuple(data_ids[(0, j)] for j in range(0, span, 2)),
-        logical_z=tuple(data_ids[(i, 0)] for i in range(0, span, 2)),
+        x_checks=tuple(checks["X"]),
+        z_checks=tuple(checks["Z"]),
+        logical_x=tuple(i for (r, _), i in data_ids.items() if r == top),
+        logical_z=tuple(i for (_, c), i in data_ids.items() if c == left),
     )
 
 
-def x_check_rows(code: SurfaceCode) -> list[list[StabilizerCheck]]:
-    """X checks grouped by geometric row, top to bottom, left to right."""
-    return _grouped(code, code.x_checks)
+def check_groups(code: SurfaceCode, kind: str) -> list[list[StabilizerCheck]]:
+    """The checks of one kind bucketed by row_index, ascending.
 
-
-def z_check_columns(code: SurfaceCode) -> list[list[StabilizerCheck]]:
-    """Z checks grouped by geometric column, left to right, top to bottom."""
-    return _grouped(code, code.z_checks)
-
-
-def _grouped(code: SurfaceCode, checks) -> list[list[StabilizerCheck]]:
-    indices = sorted({c.row_index for c in checks})
-    groups = []
-    for idx in indices:
-        group = [c for c in checks if c.row_index == idx]
-        group.sort(key=lambda c: (code.qubits[c.ancilla].row, code.qubits[c.ancilla].col))
-        groups.append(group)
-    return groups
-
+    X checks come out as geometric rows, top to bottom; Z checks as geometric
+    columns, left to right.  Each bucket keeps the builder's row-major order.
+    """
+    groups: dict[int, list[StabilizerCheck]] = {}
+    for check in code.checks(kind):
+        groups.setdefault(check.row_index, []).append(check)
+    return [groups[i] for i in sorted(groups)]

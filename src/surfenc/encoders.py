@@ -43,8 +43,7 @@ from .code_model import (
     StabilizerCheck,
     SurfaceCode,
     build_code,
-    x_check_rows,
-    z_check_columns,
+    check_groups,
 )
 
 
@@ -125,16 +124,19 @@ def _gadget_plan(code: SurfaceCode, check: StabilizerCheck, scheme: Scheme) -> G
 
 
 def gadget_gates(gadget: GadgetPlan, kind: str) -> list[tuple[int, int] | None]:
-    """CNOTs of one fan as (control, target) per time slot; None if idle."""
+    """CNOTs of one fan as (control, target) per time slot; None if idle.
+
+    A Z-kind fan is the X-kind fan with every CNOT reversed.
+    """
     p = gadget.pivot
     a = gadget.ancilla
     if a is None:
-        if kind == "X":
-            return [None if t is None else (p, t) for t in gadget.order]
-        return [None if t is None else (t, p) for t in gadget.order]
+        gates = [None if t is None else (p, t) for t in gadget.order]
+    else:
+        gates = [(p, a)] + [(a, t) for t in gadget.order] + [(p, a)]
     if kind == "X":
-        return [(p, a)] + [(a, t) for t in gadget.order] + [(p, a)]
-    return [(a, p)] + [(t, a) for t in gadget.order] + [(a, p)]
+        return gates
+    return [None if g is None else g[::-1] for g in gates]
 
 
 _ME_SLOTS = {
@@ -163,8 +165,7 @@ def _measured_check(code: SurfaceCode, check: StabilizerCheck) -> GadgetPlan:
 
 
 def build_plan(code: SurfaceCode, scheme: Scheme, target: Target) -> EncodingPlan:
-    kind = prepared_check_kind(target)
-    groups = x_check_rows(code) if kind == "X" else z_check_columns(code)
+    groups = check_groups(code, prepared_check_kind(target))
     if scheme is Scheme.ME:
         stages = [[_measured_check(code, c) for grp in groups for c in grp]]
     else:

@@ -26,7 +26,7 @@ import functools
 import math
 import multiprocessing
 import operator
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

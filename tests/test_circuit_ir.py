@@ -115,10 +115,14 @@ def test_parse_errors():
         ("# qubits: 3\nCX 0 1\nR 1\n", r"^line 3: layer 0: qubit 1 touched by two"),
         ("# qubits: 2\n# qubits: 3\nCX 0 2\n", r"^line 2: repeated '# qubits' header"),
         ("R 0\n# qubits: 0\n", r"^line 2: n_qubits must be positive"),
+        (
+            "# qubits: 2\n# variant: rotated\n# variant: unrotated\nR 0\n",
+            r"^line 3: repeated '# variant' header",
+        ),
     ],
     ids=[
         "qubits", "probability", "float", "odd", "argument", "repeat",
-        "bounds", "exclusive", "header-twice", "zero-qubits",
+        "bounds", "exclusive", "header-twice", "zero-qubits", "metadata-twice",
     ],
 )
 def test_parse_errors_name_their_line(text, message):

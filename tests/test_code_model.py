@@ -1,5 +1,6 @@
 """Lattice construction invariants and frozen geometry values."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -8,8 +9,7 @@ from surfenc.code_model import (
     CodeVariant,
     QubitRole,
     build_code,
-    x_check_rows,
-    z_check_columns,
+    check_groups,
 )
 
 ALL_DISTANCES = (3, 5, 7, 9, 11, 13)
@@ -42,22 +42,44 @@ def test_rotated_d5_row_structure():
     # frozen by hand from the layout convention: data id r*5+c, X cells where
     # the plaquette row+col is odd, weight-2 X on the left of row 0
     code = build_code(CodeVariant.ROTATED, 5)
-    rows = x_check_rows(code)
+    rows = check_groups(code, "X")
     assert [[c.support for c in row] for row in rows] == [
         [(0, 5), (1, 2, 6, 7), (3, 4, 8, 9)],
         [(5, 6, 10, 11), (7, 8, 12, 13), (9, 14)],
         [(10, 15), (11, 12, 16, 17), (13, 14, 18, 19)],
         [(15, 16, 20, 21), (17, 18, 22, 23), (19, 24)],
     ]
-    cols = z_check_columns(code)
+    cols = check_groups(code, "Z")
     # first Z column: two interior plaquettes then the weight-2 at the bottom
     assert [c.support for c in cols[0]] == [(0, 1, 5, 6), (10, 11, 15, 16), (20, 21)]
     assert [c.support for c in cols[1]] == [(1, 2), (6, 7, 11, 12), (16, 17, 21, 22)]
 
 
+# sha256 over d = 3, 5, ..., 15 of each code's qubits (id, role, row, col),
+# checks (kind, support, ancilla, row_index), X checks first, and logicals.
+FROZEN_LATTICE_DIGESTS = {
+    CodeVariant.ROTATED: "fcd6b901a4367caebe1ad3b54fbd89d7f6e74fe34f07c34d33f7b4d19a0c26f3",
+    CodeVariant.UNROTATED: "f0947dbf313cb869b6018d3beec34461f65c2ec2ac12712ca66ee7f65f698fe0",
+}
+
+
+@pytest.mark.parametrize("variant", list(CodeVariant))
+def test_lattice_is_frozen(variant):
+    digest = hashlib.sha256()
+    for d in range(3, 17, 2):
+        code = build_code(variant, d)
+        digest.update(repr((
+            [(q.id, q.role.value, q.row, q.col) for q in code.qubits],
+            [(c.kind, c.support, c.ancilla, c.row_index) for c in code.x_checks + code.z_checks],
+            code.logical_x,
+            code.logical_z,
+        )).encode())
+    assert digest.hexdigest() == FROZEN_LATTICE_DIGESTS[variant]
+
+
 def test_rotated_weight2_sides_alternate():
     code = build_code(CodeVariant.ROTATED, 7)
-    for row_idx, row in enumerate(x_check_rows(code)):
+    for row_idx, row in enumerate(check_groups(code, "X")):
         w2 = [c for c in row if c.weight == 2]
         assert len(w2) == 1
         cols = {code.qubits[q].col for q in w2[0].support}

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from surfenc.circuit_ir import Circuit, Instruction
+from surfenc.circuit_ir import Circuit
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.encoders import (
     Scheme,

@@ -18,7 +18,6 @@ from surfenc.encoders import (
 )
 from surfenc.decoder import CheckMatrix, SyndromeDecoder
 from surfenc.fault_analysis import HookFault, analyze_faults, backward_images, hook_catalogue
-from surfenc.encoders import plan_to_circuit
 from surfenc.harness import _PointEngine
 from surfenc.stab_sim import PauliString
 
