@@ -78,6 +78,11 @@ class Instruction:
         it = iter(self.targets)
         return list(zip(it, it) if self.name in PAIRWISE_NAMES else zip(it))
 
+    @property
+    def n_sites(self) -> int:
+        """len(self.sites()), counted without building the sites."""
+        return len(self.targets) // 2 if self.name in PAIRWISE_NAMES else len(self.targets)
+
     def to_text(self) -> str:
         head = self.name if self.arg is None else f"{self.name}({self.arg!r})"
         return head + " " + " ".join(str(t) for t in self.targets)

@@ -23,7 +23,13 @@ partner can never strictly beat sending both defects to the boundary, so
 the DP picks the same pairs as a full table over all 2^k subsets while
 visiting only the subsets that can matter.  The DP works on check indices,
 so the syndrome is its defect set and the partner masks are built once per
-graph.  The correction is the XOR of the matched pairs' path masks.
+graph.  The DP's memo, each solved subset's cost and pick, lives on the
+graph and is shared by every syndrome decoded on it: a subset's cost and pick
+depend only on the subset and the graph's distances, never on which
+syndrome's recursion first reached it, so a warm memo gives the same pairs
+and weight as a cold one, and each subset is solved once until the memo
+passes _MEMO_LIMIT subsets and is emptied before the next decode.  The
+correction is the XOR of the matched pairs' path masks.
 Callers ask one question of it, whether it flips the protected logical, so
 SyndromeDecoder.decode_syndrome returns and caches that parity bit per
 syndrome.  That answer depends only on the check matrix, the data qubits and
@@ -53,6 +59,8 @@ from .stab_sim import qubit_mask
 _DP_LIMIT = 14
 # a shared parity cache is emptied when it reaches this many syndromes
 _CACHE_LIMIT = 1 << 20
+# a graph's DP memo is emptied, before a decode, when it holds this many subsets
+_MEMO_LIMIT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -194,15 +202,29 @@ class MatchingGraph:
         # the DP reads these by check index, so a syndrome is its defect set
         self.bdist = [row[m] for row in self.dist[:m]]
         self.near = _near(self.dist, self.bdist)
+        # the DP memo of every syndrome decoded here: subset -> cost, pick
+        self.cost: dict[int, int] = {0: 0}
+        self.pick: dict[int, int | None] = {}
 
     def decode(self, syndrome: int) -> tuple[int, int]:
         """Minimum-weight correction for a syndrome: (data mask, weight)."""
+        if not 0 <= syndrome < 1 << self.boundary:
+            raise ValueError(
+                f"syndrome {syndrome:#x} is outside [0, 2**{self.boundary}) "
+                f"for {self.boundary} checks"
+            )
         k = syndrome.bit_count()
         if k == 0:
             return 0, 0
         paths, dist, edge = self.paths, self.dist, self.boundary
         if k <= _DP_LIMIT:
-            pairs, weight = _match_dp(dist, self.bdist, syndrome, self.near)
+            if len(self.pick) >= _MEMO_LIMIT:
+                self.pick.clear()
+                self.cost.clear()
+                self.cost[0] = 0
+            pairs, weight = _match_dp(
+                dist, self.bdist, syndrome, self.near, self.cost, self.pick
+            )
         else:
             defects = []
             rest = syndrome
@@ -228,11 +250,13 @@ def _near(dd, bd):
     ]
 
 
-def _match_dp(dd, bd, s, near):
+def _match_dp(dd, bd, s, near, cost=None, pick=None):
     """Exact matching of the defect set s, a bitmask of defect indices.
 
     dd, bd and near = _near(dd, bd) are indexed by defect, and the pairs
-    (i, j or None for the boundary) name defects the same way.
+    (i, j or None for the boundary) name defects the same way.  cost and
+    pick are the memo, {0: 0} and {} when empty; a memo is only valid for
+    the dd and bd that filled it, and without one the call starts cold.
     """
     # Top-down over the subsets reachable from the full defect set.  The
     # lowest defect i of a subset goes to the boundary unless some partner j
@@ -240,9 +264,11 @@ def _match_dp(dd, bd, s, near):
     # cost(rest) <= bd[j] + cost(rest - j), a partner with
     # dd[i][j] >= bd[i] + bd[j] never does, so it is skipped: every visited
     # subset picks what the full 2^k table would, ties included.
-    cost: dict[int, int] = {0: 0}
-    pick: dict[int, int | None] = {}
-    weight = _dp_cost(s, dd, bd, near, cost, pick)
+    if cost is None:
+        cost, pick = {0: 0}, {}
+    weight = cost.get(s)
+    if weight is None:
+        weight = _dp_cost(s, dd, bd, near, cost, pick)
     pairs = []
     while s:
         i = (s & -s).bit_length() - 1
@@ -345,7 +371,10 @@ class SyndromeDecoder:
     are kept, and each cache is emptied when it holds _CACHE_LIMIT
     syndromes, about 80 MB of keys and dict; the ceiling is therefore about
     2.5 GB, reached only when 32 codes and targets each decode 2^20 distinct
-    syndromes.  A graph is under 1 MB up to unrotated d=11.
+    syndromes.  A graph is under 1 MB up to unrotated d=11, plus its DP
+    memo: _MEMO_LIMIT subsets and one decode's, at most 2^13 + 1 (every
+    subset below a 14-defect syndrome lacks its lowest defect), about 2 MB,
+    so 32 graphs' memos stay under about 64 MB.
     """
 
     code: SurfaceCode

@@ -193,7 +193,7 @@ def sample_fault_keys(
         site, shot, b = noise_draws(instr, shots, rng)
         per_site = len(CHANNELS[instr.name])
         fault = base + per_site * site + b
-        base += per_site * len(instr.sites())
+        base += per_site * instr.n_sites
         # ufunc.at, so that faults hitting one shot all land
         for row, key in zip(acc, keys):
             np.bitwise_xor.at(row, shot, key[fault])

@@ -302,7 +302,7 @@ def noise_draws(
     equal generators they consume them identically.
     """
     bases = len(CHANNELS[instr.name])
-    site, shot = _sample_hits(rng, len(instr.sites()), shots, instr.arg)
+    site, shot = _sample_hits(rng, instr.n_sites, shots, instr.arg)
     b = rng.integers(0, bases, len(site)) if bases > 1 else np.zeros_like(site)
     return site, shot, b
 

@@ -1,6 +1,6 @@
 import pytest
 
-from surfenc.circuit_ir import CHANNELS, NOISE_NAMES, Circuit, Instruction
+from surfenc.circuit_ir import CHANNELS, KNOWN_NAMES, NOISE_NAMES, Circuit, Instruction
 
 
 def cx(*targets):
@@ -30,6 +30,14 @@ def test_a_pair_must_not_repeat_a_qubit(name):
     text = f"# qubits: 3\nCX 0 1\n{name}{'(0.1)' if arg else ''} 0 1 2 2\n"
     with pytest.raises(ValueError, match=r"^line 3: .*repeats a qubit"):
         Circuit.from_text(text)
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_NAMES))
+def test_n_sites_counts_the_sites(name):
+    arg = 0.1 if name in NOISE_NAMES else None
+    for targets in ((0, 1), (0, 1, 2, 3), (5, 1, 4, 2, 0, 3)):
+        instr = Instruction(name, targets, arg)
+        assert instr.n_sites == len(instr.sites())
 
 
 def test_layer_exclusivity():

@@ -1,6 +1,8 @@
 """Matching decoder: exactness against brute force, caching, engine parity."""
 
+import collections
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from surfenc.decoder import (
 )
 from surfenc.encoders import Scheme, Target, generate_circuit
 from surfenc.fault_analysis import analyze_faults
-from surfenc.harness import _PointEngine, chunk_rng
+from surfenc.harness import _PointEngine, chunk_rng, sample_fault_keys
 
 
 def _reference_dp(dd, bd):
@@ -178,9 +180,9 @@ def test_one_and_two_defects_equal_the_full_table(variant, target):
 def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch):
     seen = []
 
-    def both(dd, bd, s, near):
+    def both(dd, bd, s, near, cost, pick):
         # decode() passes whole-graph tables and the syndrome as defect set
-        got = _match_dp(dd, bd, s, near)
+        got = _match_dp(dd, bd, s, near, cost, pick)
         defects = [i for i in range(len(bd)) if s >> i & 1]
         graph = engine.decoder.graph
         assert dd is graph.dist and bd is graph.bdist
@@ -194,6 +196,96 @@ def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch):
     engine.count_chunk_failures(2048, chunk_rng(7, 0, 0))
     assert len(seen) > 500
     assert max(seen) == decoder._DP_LIMIT
+
+
+@pytest.fixture(scope="module")
+def chunk_syndromes():
+    """A new-graph factory for unrotated d=7 target zero and the distinct
+    syndromes of at most _DP_LIMIT defects of one sampled uea chunk there."""
+    engine = _PointEngine("unrotated", "uea", "zero", 7, 1e-2)
+    matrix = engine.decoder.matrix
+    keys = sample_fault_keys(engine.circuit, engine.keys, 2048, chunk_rng(7, 0, 0))
+    assert keys.shape[0] == 1
+    syndromes = np.unique(keys[0] & np.uint64((1 << len(matrix.rows)) - 1)).tolist()
+    new_graph = functools.partial(MatchingGraph, matrix, engine.code.data_ids)
+    return new_graph, [s for s in syndromes if 0 < s.bit_count() <= decoder._DP_LIMIT]
+
+
+def _cold_decodes(monkeypatch, graph, syndromes):
+    """graph.decode of each syndrome, with the memo emptied before every decode."""
+    limit = decoder._MEMO_LIMIT
+    monkeypatch.setattr(decoder, "_MEMO_LIMIT", 0)
+    answers = [graph.decode(s) for s in syndromes]
+    monkeypatch.setattr(decoder, "_MEMO_LIMIT", limit)
+    return answers
+
+
+def _solved_once(monkeypatch):
+    """_dp_cost calls per memo, by id(pick); a call fails if it re-solves a
+    subset that its memo has held since it was last emptied."""
+    real = decoder._dp_cost
+    calls: collections.Counter[int] = collections.Counter()
+    solved: dict[int, set[int]] = {}
+
+    def once(s, dd, bd, near, cost, pick):
+        seen = solved.setdefault(id(pick), set())
+        if not pick:  # a new or just emptied memo
+            seen.clear()
+        assert s not in seen
+        calls[id(pick)] += 1
+        c = real(s, dd, bd, near, cost, pick)
+        seen.add(s)
+        return c
+
+    monkeypatch.setattr(decoder, "_dp_cost", once)
+    return calls
+
+
+def test_a_warm_memo_decodes_a_chunk_as_a_cold_one(monkeypatch, chunk_syndromes):
+    new_graph, syndromes = chunk_syndromes
+    assert len(syndromes) > 500
+    assert max(s.bit_count() for s in syndromes) == decoder._DP_LIMIT
+    calls = _solved_once(monkeypatch)
+    cold = new_graph()
+    want = _cold_decodes(monkeypatch, cold, syndromes)
+    forward, backward = new_graph(), new_graph()
+    assert [forward.decode(s) for s in syndromes] == want
+    assert [backward.decode(s) for s in reversed(syndromes)] == want[::-1]
+    for graph in (forward, backward):
+        # subsets shared between syndromes are solved once, not per syndrome
+        assert calls[id(graph.pick)] < calls[id(cold.pick)]
+
+
+def test_the_memo_is_bounded(monkeypatch, chunk_syndromes):
+    new_graph, syndromes = chunk_syndromes
+    syndromes = syndromes[:300]
+    want = _cold_decodes(monkeypatch, new_graph(), syndromes)
+    limit = 64
+    monkeypatch.setattr(decoder, "_MEMO_LIMIT", limit)
+    calls = _solved_once(monkeypatch)
+    graph = new_graph()
+    emptied = 0
+    for s, answer in zip(syndromes, want):
+        before, solved = len(graph.pick), calls[id(graph.pick)]
+        assert graph.decode(s) == answer
+        # each _dp_cost call stores one subset: the limit plus one decode's
+        assert len(graph.pick) <= limit + calls[id(graph.pick)] - solved
+        assert len(graph.cost) == len(graph.pick) + 1
+        emptied += len(graph.pick) < before
+    assert emptied > 0
+
+
+@pytest.mark.parametrize("syndrome", [(1 << 15) - 1 | 1 << 24, 1 << 24, 1 << 30 | 1, -1])
+def test_a_syndrome_outside_the_checks_is_rejected(syndrome):
+    # rotated d=7 has 24 checks of each kind; 15 low bits plus bit 24 used
+    # to reach blossom with the boundary node as a defect and cache parity 0
+    dec = SyndromeDecoder(build_code(CodeVariant.ROTATED, 7), "zero")
+    assert dec.graph.boundary == 24
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*24\)"):
+        dec.decode_syndrome(syndrome)
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*24\)"):
+        dec.graph.decode(syndrome)
+    assert not dec._cache and not dec.graph.pick and dec.graph.cost == {0: 0}
 
 
 def test_blossom_engine_agrees_with_dp_above_limit():
