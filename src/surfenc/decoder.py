@@ -23,13 +23,7 @@ partner can never strictly beat sending both defects to the boundary, so
 the DP picks the same pairs as a full table over all 2^k subsets while
 visiting only the subsets that can matter.  The DP works on check indices,
 so the syndrome is its defect set and the partner masks are built once per
-graph.  The DP's memo, each solved subset's cost and pick, lives on the
-graph and is shared by every syndrome decoded on it: a subset's cost and pick
-depend only on the subset and the graph's distances, never on which
-syndrome's recursion first reached it, so a warm memo gives the same pairs
-and weight as a cold one, and each subset is solved once until the memo
-passes _MEMO_LIMIT subsets and is emptied before the next decode.  The
-correction is the XOR of the matched pairs' path masks.
+graph.  The correction is the XOR of the matched pairs' path masks.
 Callers ask one question of it, whether it flips the protected logical, so
 SyndromeDecoder.decode_syndrome returns and caches that parity bit per
 syndrome.  That answer depends only on the check matrix, the data qubits and
@@ -39,6 +33,21 @@ asked for it: the three encoders of one code and target decode each
 syndrome once.  SyndromeDecoder.failures judges packed keys, Monte Carlo
 shots and fault classes alike: a key fails when its parity differs from
 its correction's, and each distinct syndrome is decoded once.
+failures decodes most syndromes in batches.  It groups the distinct
+uncached syndromes by defect count k, and each group of at least _BATCH_MIN
+syndromes with k <= _DP_LIMIT goes through one numpy subset DP,
+_match_dp_batch, with one column per syndrome.  It visits the subsets the
+DP above reaches from the full set, smallest first, and carries per
+subset its cost and the logical parity of its pairs; MatchingGraph keeps
+the distances and path parities as arrays for it.  Each subset starts
+from sending its lowest defect to the boundary and takes the first
+cheapest partner only when that is strictly cheaper, the full table's
+rule, so the batch makes the scalar DP's picks, ties included, and
+returns the parity decode_syndrome would.  It only drops the near
+pruning, which skips nothing that could win.  Smaller groups go one by
+one through decode_syndrome, because a batch costs a fixed numpy call
+overhead per subset size that only a large enough group pays back, and so
+do groups above _DP_LIMIT, which blossom decodes.
 match_defects_bruteforce re-solves the matching by
 enumerating every pairing and exists purely as an independent cross-check;
 nothing in the decode path calls it.
@@ -57,10 +66,13 @@ from .encoders import Scheme, Target, prepared_check_kind
 from .stab_sim import qubit_mask
 
 _DP_LIMIT = 14
+# failures sends a chunk's uncached syndromes of one defect count through
+# one batched DP when there are at least this many of them; fewer go one by one
+_BATCH_MIN = 32
+# one batched DP call fills at most this many (subset, syndrome) table cells
+_BATCH_CELLS = 1 << 18
 # a shared parity cache is emptied when it reaches this many syndromes
 _CACHE_LIMIT = 1 << 20
-# a graph's DP memo is emptied, before a decode, when it holds this many subsets
-_MEMO_LIMIT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -199,12 +211,16 @@ class MatchingGraph:
                 raise ValueError("matching graph is disconnected")
             self.paths.append(path)
         self.dist = [[p.bit_count() for p in row] for row in self.paths]
+        # the batched DP's tables, in the smallest unsigned type that holds
+        # a DP cost, at most _DP_LIMIT distances
+        top = _DP_LIMIT * max(map(max, self.dist))
+        self.dist_array = np.array(self.dist, dtype=np.min_scalar_type(top))
+        self.parity = np.array(
+            [[matrix.logical_parity(p) for p in row] for row in self.paths], dtype=bool
+        )
         # the DP reads these by check index, so a syndrome is its defect set
         self.bdist = [row[m] for row in self.dist[:m]]
         self.near = _near(self.dist, self.bdist)
-        # the DP memo of every syndrome decoded here: subset -> cost, pick
-        self.cost: dict[int, int] = {0: 0}
-        self.pick: dict[int, int | None] = {}
 
     def decode(self, syndrome: int) -> tuple[int, int]:
         """Minimum-weight correction for a syndrome: (data mask, weight)."""
@@ -218,13 +234,7 @@ class MatchingGraph:
             return 0, 0
         paths, dist, edge = self.paths, self.dist, self.boundary
         if k <= _DP_LIMIT:
-            if len(self.pick) >= _MEMO_LIMIT:
-                self.pick.clear()
-                self.cost.clear()
-                self.cost[0] = 0
-            pairs, weight = _match_dp(
-                dist, self.bdist, syndrome, self.near, self.cost, self.pick
-            )
+            pairs, weight = _match_dp(dist, self.bdist, syndrome, self.near)
         else:
             defects = []
             rest = syndrome
@@ -241,6 +251,27 @@ class MatchingGraph:
             mask ^= paths[i][edge if j is None else j]
         return mask, weight
 
+    def correction_parities(self, defects: np.ndarray) -> np.ndarray:
+        """The logical parity of decode()'s correction, per row of defects.
+
+        defects is (N, k) check indices, each row ascending, with
+        1 <= k <= _DP_LIMIT: row n is the defect set of one syndrome.
+        """
+        n, k = defects.shape
+        if not 1 <= k <= _DP_LIMIT:
+            raise ValueError(f"{k} defects per syndrome is outside [1, {_DP_LIMIT}]")
+        block = max(1, _BATCH_CELLS // _dp_plan(k)[1])
+        if n > block:
+            return np.concatenate(
+                [self.correction_parities(defects[lo : lo + block]) for lo in range(0, n, block)]
+            )
+        ends = defects.T
+        dist, parity, edge = self.dist_array, self.parity, self.boundary
+        return _match_dp_batch(
+            dist[ends[:, None], ends], dist[ends, edge],
+            parity[ends[:, None], ends], parity[ends, edge],
+        )
+
 
 def _near(dd, bd):
     """near[i]: bitmask of the partners j > i with dd[i][j] < bd[i] + bd[j]."""
@@ -250,13 +281,11 @@ def _near(dd, bd):
     ]
 
 
-def _match_dp(dd, bd, s, near, cost=None, pick=None):
+def _match_dp(dd, bd, s, near):
     """Exact matching of the defect set s, a bitmask of defect indices.
 
     dd, bd and near = _near(dd, bd) are indexed by defect, and the pairs
-    (i, j or None for the boundary) name defects the same way.  cost and
-    pick are the memo, {0: 0} and {} when empty; a memo is only valid for
-    the dd and bd that filled it, and without one the call starts cold.
+    (i, j or None for the boundary) name defects the same way.
     """
     # Top-down over the subsets reachable from the full defect set.  The
     # lowest defect i of a subset goes to the boundary unless some partner j
@@ -264,11 +293,9 @@ def _match_dp(dd, bd, s, near, cost=None, pick=None):
     # cost(rest) <= bd[j] + cost(rest - j), a partner with
     # dd[i][j] >= bd[i] + bd[j] never does, so it is skipped: every visited
     # subset picks what the full 2^k table would, ties included.
-    if cost is None:
-        cost, pick = {0: 0}, {}
-    weight = cost.get(s)
-    if weight is None:
-        weight = _dp_cost(s, dd, bd, near, cost, pick)
+    cost: dict[int, int] = {0: 0}
+    pick: dict[int, int | None] = {}
+    weight = _dp_cost(s, dd, bd, near, cost, pick)
     pairs = []
     while s:
         i = (s & -s).bit_length() - 1
@@ -303,6 +330,80 @@ def _dp_cost(s, dd, bd, near, cost, pick):
     cost[s] = best
     pick[s] = partner
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def _dp_plan(k: int):
+    """The batched DP's schedule for k defects: (steps, table rows).
+
+    The table has one row per subset of range(k) reachable from the full
+    set by dropping the lowest defect alone or with one partner: row 0 is
+    the empty set, the rows of the subsets of r defects form one block
+    after those of r - 1, and the full set is the last row.  Step r fills
+    block r as (lo, hi, low, rest, pair, pair_rest): per subset its lowest
+    defect i, the row of the subset without i, and per partner j, ascending,
+    the index i * k + j and the row of the subset without i and j.
+
+    A subset whose lowest defect is t is reachable iff at most t defects
+    above t are missing from it.  Reaching it takes at most t steps, since
+    each drops the lowest remaining defect, one below t, and each drops at
+    most one defect above t as partner.  Conversely, dropping 0, ..., t - 1
+    in turn, each with one missing defect above t as partner while they
+    last, reaches it.  The empty set counts as lowest defect k.
+    """
+    subsets = np.arange(1 << k)
+    size = np.zeros_like(subsets)
+    low = np.full_like(subsets, k)
+    for b in reversed(range(k)):
+        bit = subsets >> b & 1
+        size += bit
+        low[bit == 1] = b
+    order = np.flatnonzero(k - low - size <= low)
+    order = order[np.argsort(size[order], kind="stable")]
+    row = np.zeros(1 << k, dtype=np.intp)
+    row[order] = np.arange(len(order))
+    bounds = np.searchsorted(size[order], np.arange(k + 2))
+    steps = []
+    for r in range(1, k + 1):
+        lo, hi = bounds[r], bounds[r + 1]
+        block = order[lo:hi]
+        i = low[block]
+        rest = block ^ 1 << i
+        j = np.flatnonzero(rest[:, None] >> np.arange(k) & 1).reshape(hi - lo, r - 1) % k
+        steps.append((lo, hi, i, row[rest], i[:, None] * k + j, row[rest[:, None] ^ 1 << j]))
+    return steps, len(order)
+
+
+def _match_dp_batch(dd, bd, pp, bp):
+    """_match_dp's picks on N defect sets at once, returning their parities.
+
+    Column n of every table is one defect set of k defects: dd[i][j][n] and
+    bd[i][n] are its distances, pp[i][j][n] and bp[i][n] the parities of the
+    matching paths.  The result is, per column, the XOR of the parities of
+    the pairs _match_dp picks, as a (N,) bool array.
+    """
+    k, n = bd.shape
+    steps, rows = _dp_plan(k)
+    dd = dd.reshape(k * k, n)
+    pp = pp.reshape(k * k, n)
+    cost = np.zeros((rows, n), dtype=dd.dtype)
+    par = np.zeros((rows, n), dtype=bool)
+    cols = np.arange(n)
+    for lo, hi, low, rest, pair, pair_rest in steps:
+        # each subset starts from sending its lowest defect to the boundary
+        c, p = cost[lo:hi], par[lo:hi]
+        np.add(bd[low], cost[rest], out=c)
+        np.bitwise_xor(bp[low], par[rest], out=p)
+        if pair.shape[1]:
+            # the first cheapest partner, taken only if strictly cheaper
+            cand = dd[pair] + cost[pair_rest]
+            best = cand.argmin(axis=1)
+            flip = (pp[pair] ^ par[pair_rest])[np.arange(hi - lo)[:, None], best, cols]
+            cand = cand.min(axis=1)
+            win = cand < c
+            np.copyto(c, cand, where=win)
+            np.copyto(p, flip, where=win)
+    return par[-1]
 
 
 def _match_blossom(dd, bd):
@@ -371,10 +472,9 @@ class SyndromeDecoder:
     are kept, and each cache is emptied when it holds _CACHE_LIMIT
     syndromes, about 80 MB of keys and dict; the ceiling is therefore about
     2.5 GB, reached only when 32 codes and targets each decode 2^20 distinct
-    syndromes.  A graph is under 1 MB up to unrotated d=11, plus its DP
-    memo: _MEMO_LIMIT subsets and one decode's, at most 2^13 + 1 (every
-    subset below a 14-defect syndrome lacks its lowest defect), about 2 MB,
-    so 32 graphs' memos stay under about 64 MB.
+    syndromes.  A graph is under 1 MB up to unrotated d=11.  A batched DP
+    call holds _BATCH_CELLS (subset, syndrome) cells of cost and parity and
+    its temporaries, a few MB at most, and frees them when it returns.
     """
 
     code: SurfaceCode
@@ -428,9 +528,42 @@ class SyndromeDecoder:
             rows = rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
             uniq, inv = np.unique(rows, return_inverse=True)
             syndromes = [int.from_bytes(row.tobytes(), "little") for row in uniq]
-        corr = np.array([self.decode_syndrome(s) for s in syndromes], dtype=bool)
+        # row n: syndrome n's words as little-endian bytes; the row width is
+        # explicit, since a chunk without a nonempty syndrome has no rows
+        words = uniq.view(np.uint8).reshape(len(uniq), uniq.dtype.itemsize)
+        corr = self._decode_distinct(words, syndromes)
         parity[hit] ^= corr[inv]
         return parity
+
+    def _decode_distinct(self, words: np.ndarray, syndromes: list[int]) -> np.ndarray:
+        """decode_syndrome of each distinct nonempty syndrome, as a bool array.
+
+        words[n] is syndromes[n] as little-endian bytes.  Uncached syndromes
+        are grouped by defect count.  A group of at least _BATCH_MIN
+        syndromes of at most _DP_LIMIT defects goes through one batched DP,
+        whose answers join the cache; the rest go one by one.
+        """
+        cache = self._cache
+        known = np.array([cache.get(s, 2) for s in syndromes], dtype=np.uint8)
+        corr = known == 1
+        todo = np.flatnonzero(known == 2)  # 2: not cached
+        count = np.array([syndromes[n].bit_count() for n in todo.tolist()], dtype=np.intp)
+        # np.bincount, not np.unique: without return_inverse, np.unique
+        # imports numpy.ma on first use, half a megabyte
+        for k in np.flatnonzero(np.bincount(count)).tolist():
+            group = todo[count == k]
+            batch = [syndromes[n] for n in group.tolist()]
+            if k <= _DP_LIMIT and len(batch) >= _BATCH_MIN:
+                bits = np.unpackbits(words[group], axis=1, bitorder="little")
+                defects = np.flatnonzero(bits).reshape(len(batch), k) % bits.shape[1]
+                found = self.graph.correction_parities(defects)
+                if len(cache) + len(batch) > _CACHE_LIMIT:
+                    cache.clear()
+                cache.update(zip(batch, found.view(np.uint8).tolist()))
+            else:
+                found = [self.decode_syndrome(s) for s in batch]
+            corr[group] = found
+        return corr
 
     def is_logical_failure(self, error_mask: int) -> bool:
         """Decode, correct, and test the residual against the logical.

@@ -269,7 +269,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
     ]
     sizes = _chunk_plan(config.shots, config.chunk)
     results: list[PointResult] = []
-    pool = multiprocessing.Pool(config.workers) if config.workers > 1 else None
+    # a worker past the chunk count of a point would never get a chunk
+    workers = min(config.workers, len(sizes))
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
         for point_index, (d, p) in enumerate(points):
             tasks = [
@@ -288,7 +290,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
             ]
             failures = 0
             shots_done = 0
-            stream = _in_order(pool, tasks, config.workers) if pool else map(_chunk_task, tasks)
+            stream = _in_order(pool, tasks, workers) if pool else map(_chunk_task, tasks)
             for chunk_id, chunk_failures in enumerate(stream):
                 failures += chunk_failures
                 shots_done += sizes[chunk_id]
@@ -321,12 +323,18 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
     return results
 
 
+def _csv_p(p: float) -> str:
+    """p as %e where that reads back as p, else as repr(p), which always does."""
+    text = f"{p:e}"
+    return text if float(text) == p else repr(p)
+
+
 def write_results_csv(results: list[PointResult], fileobj) -> None:
     # csv writes the other floats through str, which is repr
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in results:
-        writer.writerow(f"{r.p:e}" if c == "p" else getattr(r, c) for c in CSV_COLUMNS)
+        writer.writerow(_csv_p(r.p) if c == "p" else getattr(r, c) for c in CSV_COLUMNS)
 
 
 def read_results_csv(fileobj) -> list[PointResult]:

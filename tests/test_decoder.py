@@ -177,14 +177,13 @@ def test_one_and_two_defects_equal_the_full_table(variant, target):
         assert ties > 0
 
 
-def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch):
+def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch, chunk_syndromes):
     seen = []
 
-    def both(dd, bd, s, near, cost, pick):
+    def both(dd, bd, s, near):
         # decode() passes whole-graph tables and the syndrome as defect set
-        got = _match_dp(dd, bd, s, near, cost, pick)
+        got = _match_dp(dd, bd, s, near)
         defects = [i for i in range(len(bd)) if s >> i & 1]
-        graph = engine.decoder.graph
         assert dd is graph.dist and bd is graph.bdist
         _, weight, pairs = _reference_decode(graph, defects)
         assert got == (pairs, weight)
@@ -192,8 +191,10 @@ def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch):
         return got
 
     monkeypatch.setattr(decoder, "_match_dp", both)
-    engine = _PointEngine("unrotated", "uea", "zero", 7, 1e-2)
-    engine.count_chunk_failures(2048, chunk_rng(7, 0, 0))
+    new_graph, syndromes = chunk_syndromes
+    graph = new_graph()
+    for s in syndromes:
+        graph.decode(s)
     assert len(seen) > 500
     assert max(seen) == decoder._DP_LIMIT
 
@@ -211,70 +212,6 @@ def chunk_syndromes():
     return new_graph, [s for s in syndromes if 0 < s.bit_count() <= decoder._DP_LIMIT]
 
 
-def _cold_decodes(monkeypatch, graph, syndromes):
-    """graph.decode of each syndrome, with the memo emptied before every decode."""
-    limit = decoder._MEMO_LIMIT
-    monkeypatch.setattr(decoder, "_MEMO_LIMIT", 0)
-    answers = [graph.decode(s) for s in syndromes]
-    monkeypatch.setattr(decoder, "_MEMO_LIMIT", limit)
-    return answers
-
-
-def _solved_once(monkeypatch):
-    """_dp_cost calls per memo, by id(pick); a call fails if it re-solves a
-    subset that its memo has held since it was last emptied."""
-    real = decoder._dp_cost
-    calls: collections.Counter[int] = collections.Counter()
-    solved: dict[int, set[int]] = {}
-
-    def once(s, dd, bd, near, cost, pick):
-        seen = solved.setdefault(id(pick), set())
-        if not pick:  # a new or just emptied memo
-            seen.clear()
-        assert s not in seen
-        calls[id(pick)] += 1
-        c = real(s, dd, bd, near, cost, pick)
-        seen.add(s)
-        return c
-
-    monkeypatch.setattr(decoder, "_dp_cost", once)
-    return calls
-
-
-def test_a_warm_memo_decodes_a_chunk_as_a_cold_one(monkeypatch, chunk_syndromes):
-    new_graph, syndromes = chunk_syndromes
-    assert len(syndromes) > 500
-    assert max(s.bit_count() for s in syndromes) == decoder._DP_LIMIT
-    calls = _solved_once(monkeypatch)
-    cold = new_graph()
-    want = _cold_decodes(monkeypatch, cold, syndromes)
-    forward, backward = new_graph(), new_graph()
-    assert [forward.decode(s) for s in syndromes] == want
-    assert [backward.decode(s) for s in reversed(syndromes)] == want[::-1]
-    for graph in (forward, backward):
-        # subsets shared between syndromes are solved once, not per syndrome
-        assert calls[id(graph.pick)] < calls[id(cold.pick)]
-
-
-def test_the_memo_is_bounded(monkeypatch, chunk_syndromes):
-    new_graph, syndromes = chunk_syndromes
-    syndromes = syndromes[:300]
-    want = _cold_decodes(monkeypatch, new_graph(), syndromes)
-    limit = 64
-    monkeypatch.setattr(decoder, "_MEMO_LIMIT", limit)
-    calls = _solved_once(monkeypatch)
-    graph = new_graph()
-    emptied = 0
-    for s, answer in zip(syndromes, want):
-        before, solved = len(graph.pick), calls[id(graph.pick)]
-        assert graph.decode(s) == answer
-        # each _dp_cost call stores one subset: the limit plus one decode's
-        assert len(graph.pick) <= limit + calls[id(graph.pick)] - solved
-        assert len(graph.cost) == len(graph.pick) + 1
-        emptied += len(graph.pick) < before
-    assert emptied > 0
-
-
 @pytest.mark.parametrize("syndrome", [(1 << 15) - 1 | 1 << 24, 1 << 24, 1 << 30 | 1, -1])
 def test_a_syndrome_outside_the_checks_is_rejected(syndrome):
     # rotated d=7 has 24 checks of each kind; 15 low bits plus bit 24 used
@@ -285,7 +222,7 @@ def test_a_syndrome_outside_the_checks_is_rejected(syndrome):
         dec.decode_syndrome(syndrome)
     with pytest.raises(ValueError, match=r"outside \[0, 2\*\*24\)"):
         dec.graph.decode(syndrome)
-    assert not dec._cache and not dec.graph.pick and dec.graph.cost == {0: 0}
+    assert not dec._cache
 
 
 def test_blossom_engine_agrees_with_dp_above_limit():
@@ -336,6 +273,21 @@ def test_syndrome_cache_is_bounded(monkeypatch):
     assert got == want + want
 
 
+def _judge_keys(dec):
+    """The keys of test_failures_equal_parity_xor_decode_per_column: 80 of
+    1 to 6 defects with random parity, plus empty syndromes with the parity
+    clear and set, repeated keys, and a repeated syndrome with the other
+    parity, shuffled."""
+    m = len(dec.matrix.rows)
+    rng = np.random.default_rng(13)
+    keys = []
+    for _ in range(80):
+        defects = rng.choice(m, size=rng.integers(1, 7), replace=False)
+        keys.append(sum(1 << int(i) for i in defects) | int(rng.integers(2)) << m)
+    keys += [0, 1 << m, 0, 1 << m] + keys[:20] + [keys[0] ^ 1 << m]
+    return [keys[i] for i in rng.permutation(len(keys))]
+
+
 @pytest.mark.parametrize("variant, d, checks", [("rotated", 5, 12), ("unrotated", 9, 72)])
 def test_failures_equal_parity_xor_decode_per_column(variant, d, checks):
     # second route for the packed-key judge, in one and in two words: each
@@ -363,6 +315,168 @@ def test_failures_equal_parity_xor_decode_per_column(variant, d, checks):
     want = [bool(key >> m ^ dec.decode_syndrome(key & syndrome)) for key in keys]
     assert got.dtype == bool and got.tolist() == want
     assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("variant, d, checks", [("rotated", 5, 12), ("unrotated", 9, 72)])
+def test_failures_of_a_chunk_without_a_nonempty_syndrome(variant, d, checks):
+    # only empty syndromes, so nothing is decoded: each key fails iff its
+    # parity is set, in one word and in two, and for a chunk of no keys
+    dec = SyndromeDecoder(build_code(variant, d), "zero")
+    m = len(dec.matrix.rows)
+    assert m == checks
+    for keys in ([0, 0, 0], [0, 1 << m, 0, 1 << m], []):
+        got = dec.failures(dec.matrix.pack(keys))
+        assert got.dtype == bool and got.tolist() == [key == 1 << m for key in keys]
+
+
+@pytest.mark.parametrize("variant, d", [("rotated", 5), ("unrotated", 9)])
+def test_failures_are_equal_batched_and_one_by_one(monkeypatch, variant, d):
+    code = build_code(variant, d)
+    answers = []
+    for batch_min in (1, 10**9):
+        # a new shared state each time, so no answer is read from a cache
+        decoder._shared_state.cache_clear()
+        monkeypatch.setattr(decoder, "_BATCH_MIN", batch_min)
+        dec = SyndromeDecoder(code, "zero")
+        answers.append(dec.failures(dec.matrix.pack(_judge_keys(dec))))
+    batched, one_by_one = answers
+    assert batched.dtype == one_by_one.dtype == bool
+    np.testing.assert_array_equal(batched, one_by_one)
+    assert 0 < batched.sum() < len(batched)
+
+
+def _batched_parities(monkeypatch, dec, syndromes):
+    """dec.failures of parity-clear keys with every defect count batched:
+    per syndrome, the parity of the batched DP's correction."""
+    monkeypatch.setattr(decoder, "_BATCH_MIN", 1)
+
+    def unbatched(self, syndrome):
+        raise AssertionError(f"syndrome {syndrome:#x} was decoded one by one")
+
+    monkeypatch.setattr(SyndromeDecoder, "decode_syndrome", unbatched)
+    return dec.failures(dec.matrix.pack(syndromes)).tolist()
+
+
+def _scalar_parities(dec, syndromes):
+    """Per syndrome, the parity of graph.decode's correction on a new graph."""
+    graph = MatchingGraph(dec.matrix, dec.code.data_ids)
+    return [dec.matrix.logical_parity(graph.decode(s)[0]) == 1 for s in syndromes]
+
+
+def test_batched_parities_equal_decode_on_a_sampled_chunk(monkeypatch, chunk_syndromes):
+    _, syndromes = chunk_syndromes
+    assert {s.bit_count() for s in syndromes} == set(range(1, decoder._DP_LIMIT + 1))
+    dec = SyndromeDecoder(build_code(CodeVariant.UNROTATED, 7), "zero")
+    want = _scalar_parities(dec, syndromes)
+    assert _batched_parities(monkeypatch, dec, syndromes) == want
+    assert 0 < sum(want) < len(want)
+    # the batched answers join the cache as decode_syndrome's ints
+    cached = [dec._cache[s] for s in syndromes]
+    assert cached == want and {type(p) for p in cached} == {int}
+
+
+def test_batched_answers_keep_the_cache_bounded(monkeypatch, chunk_syndromes):
+    _, syndromes = chunk_syndromes
+    dec = SyndromeDecoder(build_code(CodeVariant.UNROTATED, 7), "zero")
+    limit = 100
+    monkeypatch.setattr(decoder, "_CACHE_LIMIT", limit)
+    sizes = collections.Counter(s.bit_count() for s in syndromes)
+    assert sum(size >= decoder._BATCH_MIN for size in sizes.values()) > 2
+    seen = []
+    real = dict.update
+
+    class Cache(dict):
+        def update(self, answers):
+            real(self, answers)
+            seen.append(len(self))
+
+    dec._cache = Cache()
+    want = _scalar_parities(dec, syndromes)
+    assert dec.failures(dec.matrix.pack(syndromes)).tolist() == want
+    assert seen and max(seen) <= max(limit, *sizes.values())
+    assert len(dec._cache) <= max(limit, *sizes.values())
+
+
+def test_batched_parities_equal_decode_in_two_words(monkeypatch):
+    dec = SyndromeDecoder(build_code(CodeVariant.UNROTATED, 9), "zero")
+    m = len(dec.matrix.rows)
+    assert m == 72
+    rng = np.random.default_rng(31)
+    syndromes = [
+        sum(1 << int(i) for i in rng.choice(m, size=k, replace=False))
+        for k in range(1, decoder._DP_LIMIT + 1)
+        for _ in range(24)
+    ]
+    assert sum(s >> 64 != 0 for s in syndromes) > len(syndromes) // 2
+    want = _scalar_parities(dec, syndromes)
+    assert _batched_parities(monkeypatch, dec, syndromes) == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("k", [0, decoder._DP_LIMIT + 1])
+def test_the_batched_dp_rejects_defect_counts_outside_its_range(k):
+    _, graph = _graph(build_code(CodeVariant.UNROTATED, 7), "zero")
+    defects = np.tile(np.arange(k), (3, 1))
+    with pytest.raises(ValueError, match=r"outside \[1, 14\]"):
+        graph.correction_parities(defects)
+
+
+def test_the_batched_dp_visits_the_subsets_the_dp_reaches():
+    # the subsets that dropping the lowest defect, alone or with one
+    # partner, reaches from the full set, searched directly
+    counts = []
+    for k in range(1, decoder._DP_LIMIT + 1):
+        reached, stack = set(), [(1 << k) - 1]
+        while stack:
+            s = stack.pop()
+            if s not in reached:
+                reached.add(s)
+                rest = s & (s - 1)
+                stack += [rest] + [rest ^ 1 << j for j in range(k) if rest >> j & 1]
+        order = sorted(reached, key=lambda s: (s.bit_count(), s))
+        row = {s: n for n, s in enumerate(order)}
+        steps, rows = decoder._dp_plan(k)
+        assert rows == len(order)
+        for r, (lo, hi, low, rest, pair, pair_rest) in enumerate(steps, 1):
+            block = order[lo:hi]
+            assert [s.bit_count() for s in block] == [r] * len(block)
+            for n, s in enumerate(block):
+                i = (s & -s).bit_length() - 1
+                partners = [j for j in range(i + 1, k) if s >> j & 1]
+                assert low[n] == i and rest[n] == row[s ^ 1 << i]
+                assert pair[n].tolist() == [i * k + j for j in partners]
+                assert pair_rest[n].tolist() == [row[s ^ 1 << i ^ 1 << j] for j in partners]
+        counts.append(rows - 1)
+    assert counts == [1, 2, 4, 7, 12, 20, 33, 54, 88, 143, 232, 376, 609, 986]
+
+
+def test_batched_dp_parities_equal_the_full_table_on_ties():
+    # the tie cases of test_dp_pairs_equal_the_full_table_on_ties, drawn
+    # from the same stream, one column each, with a random parity per path
+    # from another: a pick that differs from the full table's shows in
+    # about half of its columns
+    rng = np.random.default_rng(29)
+    flips = np.random.default_rng(30)
+    for k in range(1, decoder._DP_LIMIT + 1):
+        cases = []
+        for _ in range(12):
+            upper = np.triu(rng.integers(0, 4, size=(k, k)), 1)
+            cases.append(((upper + upper.T).tolist(), rng.integers(0, 4, size=k).tolist()))
+        pp = flips.integers(0, 2, size=(k, k, len(cases))).astype(bool)
+        pp = pp | pp.transpose(1, 0, 2)
+        bp = flips.integers(0, 2, size=(k, len(cases))).astype(bool)
+        want = []
+        for n, (dd, bd) in enumerate(cases):
+            pairs, _ = _reference_dp(dd, bd)
+            assert _dp(dd, bd)[0] == pairs
+            want.append(bool(sum(bp[i, n] if j is None else pp[i, j, n] for i, j in pairs) % 2))
+        got = decoder._match_dp_batch(
+            np.array([dd for dd, _ in cases]).transpose(1, 2, 0),
+            np.array([bd for _, bd in cases]).T,
+            pp,
+            bp,
+        )
+        assert got.tolist() == want, k
 
 
 def test_decoders_of_one_code_and_target_share_graph_and_cache():

@@ -279,6 +279,60 @@ def test_results_identical_across_worker_counts():
     assert a.getvalue() == b.getvalue()
 
 
+class _InlinePool:
+    """multiprocessing.Pool's surface for run_experiment, run in this process:
+    it records the size it was asked for and starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def apply_async(self, func, args):
+        value = func(*args)
+        return type("Result", (), {"get": lambda self: value})()
+
+    def terminate(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "workers, shots, pool",
+    [(8, 1000, None), (8, 3000, 3), (2, 5000, 2), (3, 3000, 3), (1, 5000, None)],
+)
+def test_the_pool_has_no_more_workers_than_chunks(monkeypatch, workers, shots, pool):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(harness.multiprocessing, "Pool", _InlinePool)
+    base = dict(distances=(3,), noise_strengths=(0.02, 0.05), shots=shots, seed=6, chunk=1000)
+    pooled = run_experiment(ExperimentConfig(workers=workers, **base))
+    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    assert pooled == run_experiment(ExperimentConfig(workers=1, **base))
+
+
+@pytest.mark.parametrize("variant, d", [("rotated", 3), ("unrotated", 9)])
+def test_a_noiseless_point_fails_no_shot(variant, d):
+    # every chunk of a p=0 point holds empty syndromes only, in one key word
+    # and in two, and the short last chunk of a p=1e-4 point (one shot) is
+    # very likely empty as well
+    cfg = ExperimentConfig(
+        variant=variant,
+        scheme="uea",
+        target="zero",
+        distances=(d,),
+        noise_strengths=(0.0, 1e-4),
+        shots=2001,
+        chunk=1000,
+        seed=6,
+        workers=1,
+    )
+    noiseless, low = run_experiment(cfg)
+    assert (noiseless.shots, noiseless.failures) == (2001, 0)
+    assert low.shots == 2001 and low.failures == 0
+
+
 # Failure counts of small fixed-seed runs at two noise strengths, three
 # chunks per point, so they pin the noise draws of six chunk streams each.
 # A change to how or in which order the noise is drawn shows here.  The
@@ -398,6 +452,17 @@ def test_csv_golden_format_and_roundtrip():
     assert lines[1].startswith("rotated,uea,zero,5,1.000000e-03,1000000,7,7e-06,")
     back = read_results_csv(io.StringIO(text))
     assert back == [row]
+
+
+@pytest.mark.parametrize("p", [1.23456789e-3, 1e-2 / 3, 2.5e-3, 1e-3, 0.05])
+def test_csv_reads_back_every_noise_strength(p):
+    row = PointResult("rotated", "ue", "zero", 3, p, 1000, 3, 3e-3, 1e-3, 9e-3)
+    buf = io.StringIO()
+    write_results_csv([row], buf)
+    assert read_results_csv(io.StringIO(buf.getvalue())) == [row]
+    # a strength that %e writes exactly keeps that form
+    written = buf.getvalue().splitlines()[1].split(",")[4]
+    assert written == (f"{p:e}" if float(f"{p:e}") == p else repr(p))
 
 
 def test_compare_schemes_ratios():
