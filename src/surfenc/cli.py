@@ -228,10 +228,9 @@ def _cmd_verify(args) -> int:
 def _cmd_compare(args) -> int:
     try:
         with open(args.csv) as fh:
-            results = read_results_csv(fh)
+            rows = compare_schemes(read_results_csv(fh))
     except (OSError, ValueError) as exc:
         return _error(exc)
-    rows = compare_schemes(results)
     if not rows:
         print("no comparable points found", file=sys.stderr)
         return 1

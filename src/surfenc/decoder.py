@@ -21,18 +21,20 @@ or with a partner j; it tries only partners closer to it than the two
 boundary distances together.  That pruning is exact, because a farther
 partner can never strictly beat sending both defects to the boundary, so
 the DP picks the same pairs as a full table over all 2^k subsets while
-visiting only the subsets that can matter.  The DP works on check indices,
-so the syndrome is its defect set and the partner masks are built once per
-graph.  The correction is the XOR of the matched pairs' path masks.
-Callers ask one question of it, whether it flips the protected logical, so
-SyndromeDecoder.decode_syndrome returns and caches that parity bit per
-syndrome.  That answer depends only on the check matrix, the data qubits and
-the syndrome, so every decoder of one (CheckMatrix, data qubits) pair shares
-one graph and one parity cache, whichever scheme or run_experiment point
-asked for it: the three encoders of one code and target decode each
-syndrome once.  SyndromeDecoder.failures judges packed keys, Monte Carlo
-shots and fault classes alike: a key fails when its parity differs from
-its correction's, and each distinct syndrome is decoded once.
+visiting only the subsets that can matter.  The DP and blossom work on
+check indices and read the graph's own tables (blossom's twin of check a is
+node m + a), so a syndrome is its defect set.  The correction is the XOR of
+the matched pairs' path masks.  Callers ask one question of it, whether it
+flips the protected logical, so SyndromeDecoder.decode_syndrome returns and
+caches that parity bit per syndrome.  That answer depends only on the check
+matrix, the data qubits and the syndrome, so every decoder of one
+(CheckMatrix, data qubits) pair shares one MatchingGraph, which holds the
+parity cache, whichever scheme or run_experiment point asked for it: the
+three encoders of one code and target decode each syndrome once.  One
+writer stores every answer, batched or not, and keeps the cache at most
+_CACHE_LIMIT syndromes.  SyndromeDecoder.failures judges packed keys, Monte
+Carlo shots and fault classes alike: a key fails when its parity differs
+from its correction's, and each distinct syndrome is decoded once.
 failures decodes most syndromes in batches.  It groups the distinct
 uncached syndromes by defect count k, and each group of at least _BATCH_MIN
 syndromes with k <= _DP_LIMIT goes through one numpy subset DP,
@@ -218,9 +220,11 @@ class MatchingGraph:
         self.parity = np.array(
             [[matrix.logical_parity(p) for p in row] for row in self.paths], dtype=bool
         )
-        # the DP reads these by check index, so a syndrome is its defect set
+        # the matchers read these by check index, so a syndrome is its defect set
         self.bdist = [row[m] for row in self.dist[:m]]
         self.near = _near(self.dist, self.bdist)
+        # syndrome -> its correction's logical parity; SyndromeDecoder._store writes it
+        self.cache: dict[int, int] = {}
 
     def decode(self, syndrome: int) -> tuple[int, int]:
         """Minimum-weight correction for a syndrome: (data mask, weight)."""
@@ -236,16 +240,7 @@ class MatchingGraph:
         if k <= _DP_LIMIT:
             pairs, weight = _match_dp(dist, self.bdist, syndrome, self.near)
         else:
-            defects = []
-            rest = syndrome
-            while rest:
-                low = rest & -rest
-                defects.append(low.bit_length() - 1)
-                rest ^= low
-            dd = [[dist[a][c] for c in defects] for a in defects]
-            bd = [dist[a][edge] for a in defects]
-            pairs, weight = _match_blossom(dd, bd)
-            pairs = [(defects[i], None if j is None else defects[j]) for i, j in pairs]
+            pairs, weight = _match_blossom(dist, self.bdist, syndrome)
         mask = 0
         for i, j in pairs:
             mask ^= paths[i][edge if j is None else j]
@@ -406,30 +401,30 @@ def _match_dp_batch(dd, bd, pp, bp):
     return par[-1]
 
 
-def _match_blossom(dd, bd):
-    # twin construction: defect i also gets twin i'; i-i' costs the boundary
-    # distance, twins are free among themselves, so any subset may be routed
-    # to the boundary while the rest pair up.
-    k = len(bd)
+def _match_blossom(dist, bdist, s):
+    """_match_dp's weight for the defect set s, by blossom: check a's twin
+    m + a costs its boundary distance and twins pair up free, so any subset
+    of the defects may go to the boundary while the rest pair up."""
+    m = len(bdist)
+    defects = [a for a in range(m) if s >> a & 1]
     g = nx.Graph()
-    for i in range(k):
-        g.add_edge(i, k + i, weight=bd[i])
-        for j in range(i + 1, k):
-            g.add_edge(i, j, weight=dd[i][j])
-            g.add_edge(k + i, k + j, weight=0)
-    matching = nx.min_weight_matching(g)
+    for n, a in enumerate(defects):
+        g.add_edge(a, m + a, weight=bdist[a])
+        for b in defects[n + 1 :]:
+            g.add_edge(a, b, weight=dist[a][b])
+            g.add_edge(m + a, m + b, weight=0)
     pairs = []
     weight = 0
-    for a, b in matching:
+    for a, b in nx.min_weight_matching(g):
         a, b = min(a, b), max(a, b)
-        if a < k <= b:
-            if b - k != a:
+        if a < m <= b:
+            if b - m != a:
                 raise AssertionError("twin matched across defects")
             pairs.append((a, None))
-            weight += bd[a]
-        elif b < k:
+            weight += bdist[a]
+        elif b < m:
             pairs.append((a, b))
-            weight += dd[a][b]
+            weight += dist[a][b]
     return pairs, weight
 
 
@@ -450,12 +445,8 @@ def match_defects_bruteforce(graph: MatchingGraph, defects: list[int]) -> int:
     return rec(tuple(defects))
 
 
-@functools.lru_cache(maxsize=32)
-def _shared_state(
-    matrix: CheckMatrix, data_ids: tuple[int, ...]
-) -> tuple[MatchingGraph, dict[int, int]]:
-    """The matching graph and parity cache of every decoder of (matrix, data_ids)."""
-    return MatchingGraph(matrix, data_ids), {}
+# one matching graph, and so one parity cache, per (CheckMatrix, data qubits)
+_shared_state = functools.lru_cache(maxsize=32)(MatchingGraph)
 
 
 @dataclass
@@ -463,39 +454,46 @@ class SyndromeDecoder:
     """Caching decoder bound to a code and a protected preparation target.
 
     The target's CheckMatrix says which checks flag which errors; the
-    matching graph is built on those checks.  Each syndrome's answer, the
-    protected-logical parity of its correction, is cached, so repeated
-    syndromes decode once.  Graph and cache are shared, through
-    _shared_state, by every decoder whose CheckMatrix and code.data_ids are
-    equal: they are all the answer reads, so a hand-built or modified code
-    never borrows another code's answers.  The 32 most recently used states
-    are kept, and each cache is emptied when it holds _CACHE_LIMIT
-    syndromes, about 80 MB of keys and dict; the ceiling is therefore about
-    2.5 GB, reached only when 32 codes and targets each decode 2^20 distinct
-    syndromes.  A graph is under 1 MB up to unrotated d=11.  A batched DP
-    call holds _BATCH_CELLS (subset, syndrome) cells of cost and parity and
-    its temporaries, a few MB at most, and frees them when it returns.
+    matching graph is built on those checks and caches each syndrome's
+    answer, the protected-logical parity of its correction, so repeated
+    syndromes decode once.  One graph, so one cache, is the state of every
+    decoder whose CheckMatrix and code.data_ids are equal (_shared_state):
+    they are all the answer reads, so a hand-built or modified code never
+    borrows another code's answers.  The 32 most recently used graphs are
+    kept.  _store writes every answer and keeps a cache at most
+    _CACHE_LIMIT syndromes, about 80 MB of keys and dict, so the ceiling is
+    about 2.5 GB, reached only when 32 codes and targets each decode 2^20
+    distinct syndromes.  A graph's tables are under 1 MB up to unrotated
+    d=11.  A batched DP call holds _BATCH_CELLS (subset, syndrome) cells of
+    cost and parity and its temporaries, a few MB at most, and frees them.
     """
 
     code: SurfaceCode
     target: str
     graph: MatchingGraph = field(init=False)
     matrix: CheckMatrix = field(init=False)
-    _cache: dict[int, int] = field(init=False)
 
     def __post_init__(self):
         self.matrix = CheckMatrix.of(self.code, self.target)
-        self.graph, self._cache = _shared_state(self.matrix, self.code.data_ids)
+        self.graph = _shared_state(self.matrix, self.code.data_ids)
 
     def decode_syndrome(self, syndrome: int) -> int:
         """The protected-logical parity of the syndrome's correction."""
-        parity = self._cache.get(syndrome)
+        parity = self.graph.cache.get(syndrome)
         if parity is None:
-            if len(self._cache) >= _CACHE_LIMIT:
-                self._cache.clear()
             mask, _ = self.graph.decode(syndrome)
-            parity = self._cache[syndrome] = self.matrix.logical_parity(mask)
+            parity = self.matrix.logical_parity(mask)
+            self._store([syndrome], [parity])
         return parity
+
+    def _store(self, syndromes: list[int], parities: list[int]) -> None:
+        """Cache uncached syndromes' answers, emptying the cache first if they
+        would overfill it; a group over _CACHE_LIMIT by itself is not kept."""
+        cache = self.graph.cache
+        if len(cache) + len(syndromes) > _CACHE_LIMIT:
+            cache.clear()
+        if len(syndromes) <= _CACHE_LIMIT:
+            cache.update(zip(syndromes, parities))
 
     def failures(self, keys: np.ndarray) -> np.ndarray:
         """Per column of packed keys (CheckMatrix.pack), whether it fails.
@@ -543,7 +541,7 @@ class SyndromeDecoder:
         syndromes of at most _DP_LIMIT defects goes through one batched DP,
         whose answers join the cache; the rest go one by one.
         """
-        cache = self._cache
+        cache = self.graph.cache
         known = np.array([cache.get(s, 2) for s in syndromes], dtype=np.uint8)
         corr = known == 1
         todo = np.flatnonzero(known == 2)  # 2: not cached
@@ -557,9 +555,7 @@ class SyndromeDecoder:
                 bits = np.unpackbits(words[group], axis=1, bitorder="little")
                 defects = np.flatnonzero(bits).reshape(len(batch), k) % bits.shape[1]
                 found = self.graph.correction_parities(defects)
-                if len(cache) + len(batch) > _CACHE_LIMIT:
-                    cache.clear()
-                cache.update(zip(batch, found.view(np.uint8).tolist()))
+                self._store(batch, found.view(np.uint8).tolist())
             else:
                 found = [self.decode_syndrome(s) for s in batch]
             corr[group] = found

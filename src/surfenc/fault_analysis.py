@@ -186,9 +186,10 @@ def analyze_faults(
     Pairs combine basis faults from two distinct sites (two faults inside
     one depolarizing channel are mutually exclusive outcomes of a single
     event, so same-site pairs are excluded).  A supplied decoder must
-    protect the same target as the analysis.  The circuit must have the
-    code's qubit count, and any variant, distance, scheme or target header
-    it carries must agree with the arguments.
+    protect the same target as the analysis, and have the code's check
+    matrix and data qubits.  The circuit must have the code's qubit count,
+    and any variant, distance, scheme or target header it carries must
+    agree with the arguments.
     """
     if type(max_weight) is not int or max_weight not in (1, 2):
         raise ValueError(f"max_weight must be 1 or 2, got {max_weight!r}")
@@ -213,6 +214,18 @@ def analyze_faults(
         decoder = SyndromeDecoder(code, matrix.target.value)
     elif decoder.matrix.target is not matrix.target:
         raise ValueError(f"the decoder must protect {matrix.target.value!r}")
+    # past its target, a decoder's CheckMatrix follows from the code's checks
+    # and logical, and data_ids from its qubits: compare without building them
+    elif (decoder.matrix.checks, decoder.matrix.logical_support) != (
+        matrix.checks, matrix.logical_support
+    ):
+        raise ValueError(
+            f"the decoder's check matrix is not the analysed code's: decoder "
+            f"{decoder.code.variant.value} d={decoder.code.d}, code "
+            f"{code.variant.value} d={code.d}"
+        )
+    elif decoder.code.qubits != code.qubits and decoder.code.data_ids != code.data_ids:
+        raise ValueError("the decoder's data qubits are not the analysed code's")
     table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
 
     # A fault's class is its key, numbered in order of first appearance.

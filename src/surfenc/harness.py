@@ -377,11 +377,16 @@ def compare_schemes(results: list[PointResult]) -> list[SchemeRatio]:
     Interval bounds propagate conservatively: [lo_a/hi_b, hi_a/lo_b], with
     infinity when the denominator interval touches zero.  The ratio is
     infinite when only the denominator saw no failures, and nan when neither
-    point did.
+    point did.  Two results of one scheme at one point raise ValueError.
     """
     by_cell: dict[tuple, dict[str, PointResult]] = {}
     for r in results:
-        by_cell.setdefault((r.variant, r.target, r.d, r.p), {})[r.scheme] = r
+        cell = by_cell.setdefault((r.variant, r.target, r.d, r.p), {})
+        if r.scheme in cell:
+            raise ValueError(
+                f"two {r.scheme} results at {r.variant} {r.target} d={r.d} p={r.p!r}"
+            )
+        cell[r.scheme] = r
     rows: list[SchemeRatio] = []
     for (variant, target, d, p), cell in sorted(by_cell.items()):
         schemes = sorted(cell)

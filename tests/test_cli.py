@@ -203,6 +203,7 @@ def test_compare_from_csv(tmp_path, capsys):
         (["compare", "{tmp}/short_row.csv"], "line 3"),
         (["compare", "{tmp}/long_row.csv"], "line 2 has extra fields"),
         (["compare", "{tmp}/not_a_number.csv"], "line 3, column 'shots'"),
+        (["compare", "{tmp}/repeated_point.csv"], "two me results at rotated zero d=3"),
         (
             ["generate", "--variant", "rotated", "-d", "3", "--scheme", "ue",
              "--out", "{tmp}/no_such_dir/circ.txt"],
@@ -232,6 +233,12 @@ def test_io_errors_end_in_one_line(tmp_path, capsys, argv, needle):
         "variant,scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\n"
         "rotated,ue,zero,3,0.001,100,1,0.01,0.001,0.05\n"
         "rotated,uea,zero,3,0.001,many,1,0.01,0.001,0.05\n"
+    )
+    (tmp_path / "repeated_point.csv").write_text(
+        "variant,scheme,target,d,p,shots,failures,p_l,ci_lo,ci_hi\n"
+        "rotated,ue,zero,3,0.01,10000,20,0.002,0.0013,0.0031\n"
+        "rotated,me,zero,3,0.01,10000,63,0.0063,0.0049,0.0081\n"
+        "rotated,me,zero,3,0.01,10000,56,0.0056,0.0043,0.0073\n"
     )
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     captured = capsys.readouterr()

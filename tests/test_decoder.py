@@ -222,7 +222,7 @@ def test_a_syndrome_outside_the_checks_is_rejected(syndrome):
         dec.decode_syndrome(syndrome)
     with pytest.raises(ValueError, match=r"outside \[0, 2\*\*24\)"):
         dec.graph.decode(syndrome)
-    assert not dec._cache
+    assert not dec.graph.cache
 
 
 def test_blossom_engine_agrees_with_dp_above_limit():
@@ -236,11 +236,11 @@ def test_blossom_engine_agrees_with_dp_above_limit():
         dd = [[graph.dist[a][b] for b in defects] for a in defects]
         bd = [graph.dist[a][graph.boundary] for a in defects]
         _, w_dp = _dp(dd, bd)
-        _, w_bl = _match_blossom(dd, bd)
-        assert w_dp == w_bl
         syn = 0
         for i in defects:
             syn |= 1 << i
+        _, w_bl = _match_blossom(graph.dist, graph.bdist, syn)
+        assert w_dp == w_bl
         mask, weight = graph.decode(syn)
         assert weight == w_dp
         assert matrix.syndrome(mask) == syn
@@ -254,7 +254,7 @@ def test_decoding_is_deterministic_and_cached():
     first = dec.decode_syndrome(syn)
     assert type(first) is int
     assert dec.decode_syndrome(syn) == first
-    assert syn in dec._cache and len(dec._cache) == 1
+    assert syn in dec.graph.cache and len(dec.graph.cache) == 1
     fresh = SyndromeDecoder(code, "plus")
     assert fresh.decode_syndrome(syn) == first
 
@@ -269,7 +269,7 @@ def test_syndrome_cache_is_bounded(monkeypatch):
     got = []
     for syn in syndromes + syndromes:
         got.append(dec.decode_syndrome(syn))
-        assert 0 < len(dec._cache) <= 2
+        assert 0 < len(dec.graph.cache) <= 2
     assert got == want + want
 
 
@@ -371,7 +371,7 @@ def test_batched_parities_equal_decode_on_a_sampled_chunk(monkeypatch, chunk_syn
     assert _batched_parities(monkeypatch, dec, syndromes) == want
     assert 0 < sum(want) < len(want)
     # the batched answers join the cache as decode_syndrome's ints
-    cached = [dec._cache[s] for s in syndromes]
+    cached = [dec.graph.cache[s] for s in syndromes]
     assert cached == want and {type(p) for p in cached} == {int}
 
 
@@ -390,11 +390,27 @@ def test_batched_answers_keep_the_cache_bounded(monkeypatch, chunk_syndromes):
             real(self, answers)
             seen.append(len(self))
 
-    dec._cache = Cache()
+    dec.graph.cache = Cache()
     want = _scalar_parities(dec, syndromes)
     assert dec.failures(dec.matrix.pack(syndromes)).tolist() == want
-    assert seen and max(seen) <= max(limit, *sizes.values())
-    assert len(dec._cache) <= max(limit, *sizes.values())
+    assert seen and max(seen) <= limit
+    assert len(dec.graph.cache) <= limit
+
+
+def test_a_batched_group_larger_than_the_cache_is_not_stored(monkeypatch, chunk_syndromes):
+    # groups go in ascending defect count, so the largest group of this
+    # chunk, which alone holds more syndromes than the cache may, comes last
+    _, syndromes = chunk_syndromes
+    k, largest = collections.Counter(s.bit_count() for s in syndromes).most_common(1)[0]
+    syndromes = [s for s in syndromes if s.bit_count() <= k]
+    limit = largest - 1
+    assert limit >= decoder._BATCH_MIN
+    monkeypatch.setattr(decoder, "_CACHE_LIMIT", limit)
+    dec = SyndromeDecoder(build_code(CodeVariant.UNROTATED, 7), "zero")
+    want = _scalar_parities(dec, syndromes)
+    for _ in range(2):  # cold, then from the cache the first call left
+        assert _batched_parities(monkeypatch, dec, syndromes) == want
+        assert len(dec.graph.cache) <= limit
 
 
 def test_batched_parities_equal_decode_in_two_words(monkeypatch):
@@ -482,10 +498,10 @@ def test_batched_dp_parities_equal_the_full_table_on_ties():
 def test_decoders_of_one_code_and_target_share_graph_and_cache():
     a = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
     b = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
-    assert a.graph is b.graph and a._cache is b._cache
+    assert a.graph is b.graph and a.graph.cache is b.graph.cache
     syn = a.matrix.syndrome(1 << a.code.data_ids[3])
     a.decode_syndrome(syn)
-    assert syn in b._cache
+    assert syn in b.graph.cache
 
 
 @pytest.mark.parametrize(
@@ -495,7 +511,7 @@ def test_decoders_of_one_code_and_target_share_graph_and_cache():
 def test_decoders_of_another_code_or_target_share_nothing(variant, d, target):
     base = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), "zero")
     other = SyndromeDecoder(build_code(variant, d), target)
-    assert other.graph is not base.graph and other._cache is not base._cache
+    assert other.graph is not base.graph and other.graph.cache is not base.graph.cache
 
 
 def test_a_modified_code_shares_nothing():
@@ -504,7 +520,7 @@ def test_a_modified_code_shares_nothing():
     code = build_code(CodeVariant.ROTATED, 5)
     base = SyndromeDecoder(code, "zero")
     modified = SyndromeDecoder(dataclasses.replace(code, z_checks=code.z_checks[::-1]), "zero")
-    assert modified.graph is not base.graph and modified._cache is not base._cache
+    assert modified.graph is not base.graph and modified.graph.cache is not base.graph.cache
     for dec in (base, modified):
         for q in code.data_ids:
             # a single flip is corrected exactly, so the correction's parity

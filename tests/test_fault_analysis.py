@@ -1,5 +1,6 @@
 """Fault enumeration: reverse images vs forward propagation, hooks, reports."""
 
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -259,6 +260,42 @@ def test_analyze_faults_rejects_decoder_for_other_target():
         decoder=SyndromeDecoder(code, "plus"),
     )
     assert report.analysis == "complementary"
+
+
+@pytest.mark.parametrize("variant, d", [("unrotated", 5), ("rotated", 3)])
+def test_analyze_faults_rejects_decoder_of_another_code(variant, d):
+    # an unrotated d=5 decoder reported 199 failing single faults of rotated
+    # d=5 ue, and a rotated d=3 one raised on a syndrome outside its checks
+    code = build_code(CodeVariant.ROTATED, 5)
+    circuit = generate_circuit(CodeVariant.ROTATED, 5, Scheme.UE, Target.ZERO, 1e-3)
+    other = SyndromeDecoder(build_code(variant, d), "zero")
+    with pytest.raises(ValueError, match=f"check matrix .*: decoder {variant} d={d}, code rotated d=5"):
+        analyze_faults(circuit, code, Target.ZERO, Scheme.UE, decoder=other)
+
+
+def test_analyze_faults_rejects_decoder_of_other_data_qubits():
+    code = build_code(CodeVariant.ROTATED, 3)
+    circuit = generate_circuit(CodeVariant.ROTATED, 3, Scheme.UE, Target.ZERO, 1e-3)
+    reordered = dataclasses.replace(code, qubits=code.qubits[::-1])
+    assert reordered.data_ids != code.data_ids
+    with pytest.raises(ValueError, match="data qubits"):
+        analyze_faults(
+            circuit, code, Target.ZERO, Scheme.UE, decoder=SyndromeDecoder(reordered, "zero")
+        )
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("complementary", [False, True])
+def test_analyze_faults_accepts_decoder_of_an_equal_code(scheme, complementary):
+    # the benchmark builds its own decoder per case and passes it in
+    code = build_code(CodeVariant.ROTATED, 5)
+    circuit = generate_circuit(CodeVariant.ROTATED, 5, scheme, Target.ZERO, 1e-3)
+    target = "plus" if complementary else "zero"
+    dec = SyndromeDecoder(build_code(CodeVariant.ROTATED, 5), target)
+    given = analyze_faults(
+        circuit, code, Target.ZERO, scheme, complementary=complementary, decoder=dec
+    )
+    assert given == analyze_faults(circuit, code, Target.ZERO, scheme, complementary=complementary)
 
 
 def test_analyze_faults_rejects_circuit_of_another_code():

@@ -465,6 +465,20 @@ def test_csv_reads_back_every_noise_strength(p):
     assert written == (f"{p:e}" if float(f"{p:e}") == p else repr(p))
 
 
+def test_compare_schemes_rejects_a_scheme_twice_at_one_point():
+    # the second me result used to replace the first, so the ratio depended
+    # on row order
+    def mk(scheme, failures):
+        p_l = failures / 10**4
+        return PointResult("rotated", scheme, "zero", 3, 1e-2, 10**4, failures, p_l, p_l / 2, p_l * 2)
+
+    results = [mk("ue", 20), mk("me", 63), mk("me", 56)]
+    for rows in (results, results[::-1]):
+        with pytest.raises(ValueError, match=r"two me results at rotated zero d=3 p=0\.01"):
+            compare_schemes(rows)
+    assert len(compare_schemes(results[:2])) == 2
+
+
 def test_compare_schemes_ratios():
     def mk(scheme, p_l, lo, hi):
         return PointResult("rotated", scheme, "zero", 3, 1e-3, 10**6, 0, p_l, lo, hi)

@@ -1,4 +1,5 @@
-"""Every module of the package and of its tests uses every name it imports."""
+"""Every module of the package and of its tests uses every name it imports,
+and every definition of the package is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,55 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "surfenc").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert paths
     assert [entry for path in paths for entry in unused_imports(path)] == []
+
+
+def definitions(path: Path) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each module-level function, class
+    and constant of path, and of each method, except names like __all__ and
+    __init__, which Python itself reads."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [
+        (name, node.lineno, node.end_lineno) for name, node in found if not name.startswith("__")
+    ]
+
+
+def references(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of each name read, attribute read or name imported in path."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(alias.name, node.lineno) for alias in node.names]
+    return found
+
+
+def test_every_definition_in_the_package_is_referenced():
+    # a reference inside the definition itself, such as a recursive call,
+    # does not count
+    package = sorted((ROOT / "src" / "surfenc").glob("*.py"))
+    readers = package + sorted((ROOT / "tests").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py")
+    )
+    seen: dict[str, list[tuple[Path, int]]] = {}
+    for path in readers:
+        for name, line in references(path):
+            seen.setdefault(name, []).append((path, line))
+    defined = [(path, *entry) for path in package for entry in definitions(path)]
+    assert len(defined) > 150
+    unreferenced = [
+        f"{path.relative_to(ROOT)}:{first}: {name}"
+        for path, name, first, last in defined
+        if all(where == path and first <= line <= last for where, line in seen.get(name, []))
+    ]
+    assert unreferenced == []
