@@ -32,7 +32,7 @@ weight-2 Z checks on the top/bottom.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -84,14 +84,15 @@ class SurfaceCode:
     z_checks: tuple[StabilizerCheck, ...]
     logical_x: tuple[int, ...]
     logical_z: tuple[int, ...]
+    # derived from qubits once per construction, dataclasses.replace included
+    data_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.data_ids = tuple(q.id for q in self.qubits if q.role is QubitRole.DATA)
 
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
-
-    @property
-    def data_ids(self) -> tuple[int, ...]:
-        return tuple(q.id for q in self.qubits if q.role is QubitRole.DATA)
 
     @property
     def n_data(self) -> int:

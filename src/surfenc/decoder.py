@@ -14,20 +14,29 @@ from every node fills one path table: paths[a][b] is the data-qubit mask of
 one deterministic shortest a-b path, and distances are its popcounts.
 
 Decoding pairs up syndrome defects (and optionally the boundary) with exact
-minimum total distance: a memoised subset dynamic program up to 14 defects,
-blossom matching on a twin-node reduction above that.  The DP starts from
-the full defect set and pairs the lowest remaining defect with the boundary
-or with a partner j; it tries only partners closer to it than the two
-boundary distances together.  That pruning is exact, because a farther
-partner can never strictly beat sending both defects to the boundary, so
-the DP picks the same pairs as a full table over all 2^k subsets while
-visiting only the subsets that can matter.  The DP and blossom work on
-check indices and read the graph's own tables (blossom's twin of check a is
-node m + a), so a syndrome is its defect set.  The correction is the XOR of
-the matched pairs' path masks.  Callers ask one question of it, whether it
-flips the protected logical, so SyndromeDecoder.decode_syndrome returns and
-caches that parity bit per syndrome.  That answer depends only on the check
-matrix, the data qubits and the syndrome, so every decoder of one
+minimum total distance: a memoised subset dynamic program up to _DP_LIMIT
+defects, blossom matching on a twin-node reduction above that.  The guard
+was measured on sampled unrotated uea chunks at d=9 and d=11, p=1e-2: up to
+21 defects the DP's mean call is faster than blossom's, above it slower,
+and its slowest call grows fast (BENCH_decode.json, "dp_guard").  networkx,
+which blossom runs on, is imported on the first blossom call, so a process
+whose syndromes all stay at or below the guard never loads it.  The DP
+starts from the full defect set and pairs the lowest remaining defect with
+the boundary or with a partner j; it tries only partners closer to it than
+the two boundary distances together.  That pruning is exact, because a
+farther partner can never strictly beat sending both defects to the
+boundary, so the DP picks the same pairs as a full table over all 2^k
+subsets while visiting only the subsets that can matter.  Where two
+minimum-weight matchings tie, the DP and blossom may pick pairs of
+different logical parity, so the guard is part of the decoder's output.
+The DP and blossom work on check indices and read the graph's own tables
+(blossom's twin of check a is node m + a), so a syndrome is its defect
+set.  The correction is the XOR of the matched pairs' path masks.  Callers
+ask one question of it, whether it flips the protected logical, so
+SyndromeDecoder.decode_syndrome returns and caches that parity bit per
+syndrome: the XOR of the matched pairs' path parities, read without
+building the correction.  That answer depends only on the check matrix,
+the data qubits and the syndrome, so every decoder of one
 (CheckMatrix, data qubits) pair shares one MatchingGraph, which holds the
 parity cache, whichever scheme or run_experiment point asked for it: the
 three encoders of one code and target decode each syndrome once.  One
@@ -37,7 +46,7 @@ Carlo shots and fault classes alike: a key fails when its parity differs
 from its correction's, and each distinct syndrome is decoded once.
 failures decodes most syndromes in batches.  It groups the distinct
 uncached syndromes by defect count k, and each group of at least _BATCH_MIN
-syndromes with k <= _DP_LIMIT goes through one numpy subset DP,
+syndromes with k <= _BATCH_LIMIT goes through one numpy subset DP,
 _match_dp_batch, with one column per syndrome.  It visits the subsets the
 DP above reaches from the full set, smallest first, and carries per
 subset its cost and the logical parity of its pairs; MatchingGraph keeps
@@ -49,7 +58,7 @@ returns the parity decode_syndrome would.  It only drops the near
 pruning, which skips nothing that could win.  Smaller groups go one by
 one through decode_syndrome, because a batch costs a fixed numpy call
 overhead per subset size that only a large enough group pays back, and so
-do groups above _DP_LIMIT, which blossom decodes.
+do groups above _BATCH_LIMIT, since the batch builds tables of 2^k rows.
 match_defects_bruteforce re-solves the matching by
 enumerating every pairing and exists purely as an independent cross-check;
 nothing in the decode path calls it.
@@ -60,14 +69,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .code_model import StabilizerCheck, SurfaceCode
 from .encoders import Scheme, Target, prepared_check_kind
 from .stab_sim import qubit_mask
 
-_DP_LIMIT = 14
+# the scalar DP decodes syndromes of at most this many defects, blossom
+# those above (module docstring)
+_DP_LIMIT = 21
+# the batched DP takes syndromes of at most this many defects
+_BATCH_LIMIT = 14
 # failures sends a chunk's uncached syndromes of one defect count through
 # one batched DP when there are at least this many of them; fewer go one by one
 _BATCH_MIN = 32
@@ -213,21 +225,23 @@ class MatchingGraph:
                 raise ValueError("matching graph is disconnected")
             self.paths.append(path)
         self.dist = [[p.bit_count() for p in row] for row in self.paths]
-        # the batched DP's tables, in the smallest unsigned type that holds
-        # a DP cost, at most _DP_LIMIT distances
-        top = _DP_LIMIT * max(map(max, self.dist))
+        self.parity = [[matrix.logical_parity(p) for p in row] for row in self.paths]
+        # the batched DP's tables, the distances in the smallest unsigned
+        # type that holds a DP cost, at most _BATCH_LIMIT distances
+        top = _BATCH_LIMIT * max(map(max, self.dist))
         self.dist_array = np.array(self.dist, dtype=np.min_scalar_type(top))
-        self.parity = np.array(
-            [[matrix.logical_parity(p) for p in row] for row in self.paths], dtype=bool
-        )
+        self.parity_array = np.array(self.parity, dtype=bool)
         # the matchers read these by check index, so a syndrome is its defect set
         self.bdist = [row[m] for row in self.dist[:m]]
         self.near = _near(self.dist, self.bdist)
         # syndrome -> its correction's logical parity; SyndromeDecoder._store writes it
         self.cache: dict[int, int] = {}
 
-    def decode(self, syndrome: int) -> tuple[int, int]:
-        """Minimum-weight correction for a syndrome: (data mask, weight)."""
+    def match(self, syndrome: int) -> tuple[list[tuple[int, int | None]], int]:
+        """Minimum-weight pairs of a syndrome's defects, and their weight.
+
+        A pair (i, j) names check indices, with j None for the boundary.
+        """
         if not 0 <= syndrome < 1 << self.boundary:
             raise ValueError(
                 f"syndrome {syndrome:#x} is outside [0, 2**{self.boundary}) "
@@ -235,33 +249,45 @@ class MatchingGraph:
             )
         k = syndrome.bit_count()
         if k == 0:
-            return 0, 0
-        paths, dist, edge = self.paths, self.dist, self.boundary
+            return [], 0
         if k <= _DP_LIMIT:
-            pairs, weight = _match_dp(dist, self.bdist, syndrome, self.near)
-        else:
-            pairs, weight = _match_blossom(dist, self.bdist, syndrome)
+            return _match_dp(self.dist, self.bdist, syndrome, self.near)
+        return _match_blossom(self.dist, self.bdist, syndrome)
+
+    def decode(self, syndrome: int) -> tuple[int, int]:
+        """Minimum-weight correction for a syndrome: (data mask, weight)."""
+        pairs, weight = self.match(syndrome)
+        paths, edge = self.paths, self.boundary
         mask = 0
         for i, j in pairs:
             mask ^= paths[i][edge if j is None else j]
         return mask, weight
 
+    def correction_parity(self, syndrome: int) -> int:
+        """The logical parity of decode()'s correction, without building it."""
+        pairs, _ = self.match(syndrome)
+        parity, edge = self.parity, self.boundary
+        flip = 0
+        for i, j in pairs:
+            flip ^= parity[i][edge if j is None else j]
+        return flip
+
     def correction_parities(self, defects: np.ndarray) -> np.ndarray:
         """The logical parity of decode()'s correction, per row of defects.
 
         defects is (N, k) check indices, each row ascending, with
-        1 <= k <= _DP_LIMIT: row n is the defect set of one syndrome.
+        1 <= k <= _BATCH_LIMIT: row n is the defect set of one syndrome.
         """
         n, k = defects.shape
-        if not 1 <= k <= _DP_LIMIT:
-            raise ValueError(f"{k} defects per syndrome is outside [1, {_DP_LIMIT}]")
+        if not 1 <= k <= _BATCH_LIMIT:
+            raise ValueError(f"{k} defects per syndrome is outside [1, {_BATCH_LIMIT}]")
         block = max(1, _BATCH_CELLS // _dp_plan(k)[1])
         if n > block:
             return np.concatenate(
                 [self.correction_parities(defects[lo : lo + block]) for lo in range(0, n, block)]
             )
         ends = defects.T
-        dist, parity, edge = self.dist_array, self.parity, self.boundary
+        dist, parity, edge = self.dist_array, self.parity_array, self.boundary
         return _match_dp_batch(
             dist[ends[:, None], ends], dist[ends, edge],
             parity[ends[:, None], ends], parity[ends, edge],
@@ -405,6 +431,10 @@ def _match_blossom(dist, bdist, s):
     """_match_dp's weight for the defect set s, by blossom: check a's twin
     m + a costs its boundary distance and twins pair up free, so any subset
     of the defects may go to the boundary while the rest pair up."""
+    # imported here, so that a process whose syndromes all stay at or below
+    # _DP_LIMIT defects never loads networkx
+    import networkx as nx
+
     m = len(bdist)
     defects = [a for a in range(m) if s >> a & 1]
     g = nx.Graph()
@@ -481,8 +511,7 @@ class SyndromeDecoder:
         """The protected-logical parity of the syndrome's correction."""
         parity = self.graph.cache.get(syndrome)
         if parity is None:
-            mask, _ = self.graph.decode(syndrome)
-            parity = self.matrix.logical_parity(mask)
+            parity = self.graph.correction_parity(syndrome)
             self._store([syndrome], [parity])
         return parity
 
@@ -538,7 +567,7 @@ class SyndromeDecoder:
 
         words[n] is syndromes[n] as little-endian bytes.  Uncached syndromes
         are grouped by defect count.  A group of at least _BATCH_MIN
-        syndromes of at most _DP_LIMIT defects goes through one batched DP,
+        syndromes of at most _BATCH_LIMIT defects goes through one batched DP,
         whose answers join the cache; the rest go one by one.
         """
         cache = self.graph.cache
@@ -551,7 +580,7 @@ class SyndromeDecoder:
         for k in np.flatnonzero(np.bincount(count)).tolist():
             group = todo[count == k]
             batch = [syndromes[n] for n in group.tolist()]
-            if k <= _DP_LIMIT and len(batch) >= _BATCH_MIN:
+            if k <= _BATCH_LIMIT and len(batch) >= _BATCH_MIN:
                 bits = np.unpackbits(words[group], axis=1, bitorder="little")
                 defects = np.flatnonzero(bits).reshape(len(batch), k) % bits.shape[1]
                 found = self.graph.correction_parities(defects)

@@ -37,6 +37,7 @@ analysis at d >= 5, nothing of size F x F is built for the F basis faults.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -142,6 +143,57 @@ def backward_images(circuit: Circuit, images: tuple[list[int], list[int]]) -> Fa
     return FaultTable(tuple(s for s, *_ in recorded), site, basis, res_x, res_z)
 
 
+_NO_PAIRS = np.empty(0, dtype=np.intp)
+
+
+class FailingCombinations(Sequence):
+    """A report's failing combinations: the failing singles, as 1-tuples of
+    fault descriptions, then the failing pairs (text[i[n]], text[j[n]]).
+
+    A read-only list that builds each pair's tuple only when it is read, so
+    a report with a million failing pairs holds two index arrays, not a
+    million tuples.  Indexing, slicing (a list), len, iteration, == against
+    a list or another view, and repr behave as on the list it stands for.
+    """
+
+    __slots__ = ("_singles", "_text", "_i", "_j")
+
+    def __init__(self, singles: list[tuple[str]], text=(), i=_NO_PAIRS, j=_NO_PAIRS):
+        self._singles, self._text, self._i, self._j = singles, text, i, j
+
+    def __len__(self) -> int:
+        return len(self._singles) + len(self._i)
+
+    def __getitem__(self, index):
+        # a range of our length indexes as a list does: negative indices,
+        # slices, IndexError past either end, TypeError on a non-integer
+        if isinstance(index, slice):
+            return [self[n] for n in range(len(self))[index]]
+        n = range(len(self))[index]
+        if n < len(self._singles):
+            return self._singles[n]
+        n -= len(self._singles)
+        return (self._text[self._i[n]], self._text[self._j[n]])
+
+    def __iter__(self):
+        yield from self._singles
+        text = self._text
+        for a, b in zip(self._i.tolist(), self._j.tolist()):
+            yield (text[a], text[b])
+
+    def __eq__(self, other):
+        if isinstance(other, FailingCombinations):
+            other = list(other)
+        elif not isinstance(other, list):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == other
+
+    __hash__ = None  # unhashable, as a list
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class FaultReport:
     variant: str
@@ -152,7 +204,7 @@ class FaultReport:
     max_weight_checked: int
     n_sites: int
     n_basis_faults: int
-    failing_combinations: list[tuple[str, ...]]
+    failing_combinations: FailingCombinations
     certified_fault_distance_lower_bound: int
 
     def summary(self) -> str:
@@ -215,7 +267,7 @@ def analyze_faults(
     elif decoder.matrix.target is not matrix.target:
         raise ValueError(f"the decoder must protect {matrix.target.value!r}")
     # past its target, a decoder's CheckMatrix follows from the code's checks
-    # and logical, and data_ids from its qubits: compare without building them
+    # and logical, so those two are compared
     elif (decoder.matrix.checks, decoder.matrix.logical_support) != (
         matrix.checks, matrix.logical_support
     ):
@@ -224,7 +276,7 @@ def analyze_faults(
             f"{decoder.code.variant.value} d={decoder.code.d}, code "
             f"{code.variant.value} d={code.d}"
         )
-    elif decoder.code.qubits != code.qubits and decoder.code.data_ids != code.data_ids:
+    elif decoder.code.data_ids != code.data_ids:
         raise ValueError("the decoder's data qubits are not the analysed code's")
     table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
 
@@ -233,7 +285,8 @@ def analyze_faults(
     index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
     cls = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
     classes = matrix.pack(index)
-    failing = [(table.describe(f),) for f in np.flatnonzero(decoder.failures(classes)[cls])]
+    singles = [(table.describe(f),) for f in np.flatnonzero(decoder.failures(classes)[cls])]
+    failing = FailingCombinations(singles)
 
     if max_weight == 2:
         # syndrome and parity are linear in the residual, so a pair's fate
@@ -250,13 +303,12 @@ def analyze_faults(
             fail = class_fail[sub[:, None], sub[None, :]]
             fail &= sites[:, None] != sites[None, :]
             text = [table.describe(f) for f in involved]
-            for i, j in zip(*np.nonzero(np.triu(fail, k=1))):
-                failing.append((text[i], text[j]))
+            # index arrays, not one tuple per pair: a million Python objects
+            # would cost their memory and the collections they trigger
+            failing = FailingCombinations(singles, text, *np.nonzero(np.triu(fail, k=1)))
 
-    if failing:
-        bound = min(len(c) for c in failing)
-    else:
-        bound = max_weight + 1
+    # the smallest failing combination: singles come first
+    bound = len(failing[0]) if failing else max_weight + 1
     return FaultReport(
         variant=code.variant.value,
         d=code.d,

@@ -29,6 +29,9 @@ import operator
 from dataclasses import dataclass, asdict
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that load
+# out of the first run_experiment call
+from numpy.random import Generator, Philox
 
 from .circuit_ir import CHANNELS, Circuit
 from .code_model import CodeVariant, build_code, validate_distance
@@ -165,16 +168,16 @@ def wilson_interval(failures: int, shots: int, z: float = 1.96) -> tuple[float, 
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def chunk_rng(seed: int, point_index: int, chunk_id: int) -> np.random.Generator:
-    bits = np.random.Philox(
+def chunk_rng(seed: int, point_index: int, chunk_id: int) -> Generator:
+    bits = Philox(
         key=np.array([seed, point_index], dtype=np.uint64),
         counter=np.array([0, 0, chunk_id, 0], dtype=np.uint64),
     )
-    return np.random.Generator(bits)
+    return Generator(bits)
 
 
 def sample_fault_keys(
-    circuit: Circuit, keys: np.ndarray, shots: int, rng: np.random.Generator
+    circuit: Circuit, keys: np.ndarray, shots: int, rng: Generator
 ) -> np.ndarray:
     """Per shot, the XOR of the keys of the basis faults that hit it.
 
@@ -215,7 +218,7 @@ class _PointEngine:
         table = backward_images(self.circuit, matrix.key_images(self.circuit.n_qubits))
         self.keys = matrix.pack(map(matrix.read, table.res_x, table.res_z))
 
-    def count_chunk_failures(self, shots: int, rng: np.random.Generator) -> int:
+    def count_chunk_failures(self, shots: int, rng: Generator) -> int:
         syn = sample_fault_keys(self.circuit, self.keys, shots, rng)
         return int(np.count_nonzero(self.decoder.failures(syn)))
 

@@ -137,7 +137,7 @@ def test_dp_pairs_equal_the_full_table_on_ties():
     # distances 0..3 tie often, so the order in which partners are tried
     # and the strict comparison both show in the pairs
     rng = np.random.default_rng(29)
-    for k in range(1, decoder._DP_LIMIT + 1):
+    for k in range(1, decoder._BATCH_LIMIT + 1):
         for _ in range(12):
             upper = np.triu(rng.integers(0, 4, size=(k, k)), 1)
             dd = (upper + upper.T).tolist()
@@ -196,26 +196,26 @@ def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch, chunk_syn
     for s in syndromes:
         graph.decode(s)
     assert len(seen) > 500
-    assert max(seen) == decoder._DP_LIMIT
+    assert max(seen) == decoder._BATCH_LIMIT
 
 
 @pytest.fixture(scope="module")
 def chunk_syndromes():
     """A new-graph factory for unrotated d=7 target zero and the distinct
-    syndromes of at most _DP_LIMIT defects of one sampled uea chunk there."""
+    syndromes of at most _BATCH_LIMIT defects of one sampled uea chunk there."""
     engine = _PointEngine("unrotated", "uea", "zero", 7, 1e-2)
     matrix = engine.decoder.matrix
     keys = sample_fault_keys(engine.circuit, engine.keys, 2048, chunk_rng(7, 0, 0))
     assert keys.shape[0] == 1
     syndromes = np.unique(keys[0] & np.uint64((1 << len(matrix.rows)) - 1)).tolist()
     new_graph = functools.partial(MatchingGraph, matrix, engine.code.data_ids)
-    return new_graph, [s for s in syndromes if 0 < s.bit_count() <= decoder._DP_LIMIT]
+    return new_graph, [s for s in syndromes if 0 < s.bit_count() <= decoder._BATCH_LIMIT]
 
 
 @pytest.mark.parametrize("syndrome", [(1 << 15) - 1 | 1 << 24, 1 << 24, 1 << 30 | 1, -1])
 def test_a_syndrome_outside_the_checks_is_rejected(syndrome):
-    # rotated d=7 has 24 checks of each kind; 15 low bits plus bit 24 used
-    # to reach blossom with the boundary node as a defect and cache parity 0
+    # rotated d=7 has 24 checks of each kind; 15 low bits plus bit 24 once
+    # reached blossom with the boundary node as a defect and cached parity 0
     dec = SyndromeDecoder(build_code(CodeVariant.ROTATED, 7), "zero")
     assert dec.graph.boundary == 24
     with pytest.raises(ValueError, match=r"outside \[0, 2\*\*24\)"):
@@ -225,25 +225,37 @@ def test_a_syndrome_outside_the_checks_is_rejected(syndrome):
     assert not dec.graph.cache
 
 
-def test_blossom_engine_agrees_with_dp_above_limit():
-    # decode() switches engines at 15 defects; check them against each other
+def test_blossom_engine_agrees_with_dp_above_limit(monkeypatch):
+    # decode() sends a syndrome to blossom only above _DP_LIMIT defects; on
+    # both sides of that guard the two engines find equal weights
     code = build_code(CodeVariant.UNROTATED, 7)
     matrix, graph = _graph(code, "plus")
     m = graph.boundary
     rng = np.random.default_rng(23)
-    for _ in range(3):
-        defects = sorted(rng.choice(m, size=16, replace=False).tolist())
-        dd = [[graph.dist[a][b] for b in defects] for a in defects]
-        bd = [graph.dist[a][graph.boundary] for a in defects]
-        _, w_dp = _dp(dd, bd)
-        syn = 0
-        for i in defects:
-            syn |= 1 << i
-        _, w_bl = _match_blossom(graph.dist, graph.bdist, syn)
-        assert w_dp == w_bl
-        mask, weight = graph.decode(syn)
-        assert weight == w_dp
-        assert matrix.syndrome(mask) == syn
+    calls = []
+
+    def blossom(*args):
+        calls.append(args[2])
+        return _match_blossom(*args)
+
+    monkeypatch.setattr(decoder, "_match_blossom", blossom)
+    for k in (16, decoder._DP_LIMIT, decoder._DP_LIMIT + 1, decoder._DP_LIMIT + 4):
+        for _ in range(3):
+            defects = sorted(rng.choice(m, size=k, replace=False).tolist())
+            dd = [[graph.dist[a][b] for b in defects] for a in defects]
+            bd = [graph.dist[a][graph.boundary] for a in defects]
+            _, w_dp = _dp(dd, bd)
+            syn = 0
+            for i in defects:
+                syn |= 1 << i
+            _, w_bl = _match_blossom(graph.dist, graph.bdist, syn)
+            assert w_dp == w_bl
+            calls.clear()
+            mask, weight = graph.decode(syn)
+            assert calls == ([syn] if k > decoder._DP_LIMIT else [])
+            assert weight == w_dp == mask.bit_count()
+            assert matrix.syndrome(mask) == syn
+            assert graph.correction_parity(syn) == matrix.logical_parity(mask)
 
 
 def test_decoding_is_deterministic_and_cached():
@@ -365,7 +377,7 @@ def _scalar_parities(dec, syndromes):
 
 def test_batched_parities_equal_decode_on_a_sampled_chunk(monkeypatch, chunk_syndromes):
     _, syndromes = chunk_syndromes
-    assert {s.bit_count() for s in syndromes} == set(range(1, decoder._DP_LIMIT + 1))
+    assert {s.bit_count() for s in syndromes} == set(range(1, decoder._BATCH_LIMIT + 1))
     dec = SyndromeDecoder(build_code(CodeVariant.UNROTATED, 7), "zero")
     want = _scalar_parities(dec, syndromes)
     assert _batched_parities(monkeypatch, dec, syndromes) == want
@@ -420,7 +432,7 @@ def test_batched_parities_equal_decode_in_two_words(monkeypatch):
     rng = np.random.default_rng(31)
     syndromes = [
         sum(1 << int(i) for i in rng.choice(m, size=k, replace=False))
-        for k in range(1, decoder._DP_LIMIT + 1)
+        for k in range(1, decoder._BATCH_LIMIT + 1)
         for _ in range(24)
     ]
     assert sum(s >> 64 != 0 for s in syndromes) > len(syndromes) // 2
@@ -429,7 +441,7 @@ def test_batched_parities_equal_decode_in_two_words(monkeypatch):
     assert 0 < sum(want) < len(want)
 
 
-@pytest.mark.parametrize("k", [0, decoder._DP_LIMIT + 1])
+@pytest.mark.parametrize("k", [0, decoder._BATCH_LIMIT + 1])
 def test_the_batched_dp_rejects_defect_counts_outside_its_range(k):
     _, graph = _graph(build_code(CodeVariant.UNROTATED, 7), "zero")
     defects = np.tile(np.arange(k), (3, 1))
@@ -441,7 +453,7 @@ def test_the_batched_dp_visits_the_subsets_the_dp_reaches():
     # the subsets that dropping the lowest defect, alone or with one
     # partner, reaches from the full set, searched directly
     counts = []
-    for k in range(1, decoder._DP_LIMIT + 1):
+    for k in range(1, decoder._BATCH_LIMIT + 1):
         reached, stack = set(), [(1 << k) - 1]
         while stack:
             s = stack.pop()
@@ -473,7 +485,7 @@ def test_batched_dp_parities_equal_the_full_table_on_ties():
     # about half of its columns
     rng = np.random.default_rng(29)
     flips = np.random.default_rng(30)
-    for k in range(1, decoder._DP_LIMIT + 1):
+    for k in range(1, decoder._BATCH_LIMIT + 1):
         cases = []
         for _ in range(12):
             upper = np.triu(rng.integers(0, 4, size=(k, k)), 1)

@@ -18,7 +18,14 @@ from surfenc.encoders import (
     scramble_plan,
 )
 from surfenc.decoder import CheckMatrix, SyndromeDecoder
-from surfenc.fault_analysis import HookFault, analyze_faults, backward_images, hook_catalogue
+from surfenc.cli import main
+from surfenc.fault_analysis import (
+    FailingCombinations,
+    HookFault,
+    analyze_faults,
+    backward_images,
+    hook_catalogue,
+)
 from surfenc.harness import _PointEngine
 from surfenc.stab_sim import PauliString
 
@@ -228,6 +235,75 @@ def test_pair_classes_equal_a_plain_loop_over_pairs(variant, scheme, complementa
         want = _failing_by_plain_loop(circuit, code, target, scheme, complementary)
         assert any(len(c) == 2 for c in want)
         assert report.failing_combinations == want
+
+
+@pytest.fixture(scope="module")
+def pair_report():
+    """A d=3 pair report with failing singles and pairs, and the plain loop's list."""
+    variant, scheme, target = CodeVariant.ROTATED, Scheme.UE, Target.ZERO
+    code = build_code(variant, 3)
+    circuit = generate_circuit(variant, 3, scheme, target, 1e-3, scrambled=True)
+    report = analyze_faults(circuit, code, target, scheme, max_weight=2)
+    want = _failing_by_plain_loop(circuit, code, target, scheme, False)
+    assert {len(c) for c in want} == {1, 2}
+    return report, want
+
+
+def test_failing_combinations_read_as_the_list(pair_report):
+    report, want = pair_report
+    view = report.failing_combinations
+    assert isinstance(view, FailingCombinations)
+    assert len(view) == len(want) and list(view) == want
+    assert view == want and want == view and view != want[:-1] and view != tuple(want)
+    assert repr(view) == repr(want)
+    assert repr(report) == repr(dataclasses.replace(report, failing_combinations=want))
+    assert report.certified_fault_distance_lower_bound == 1
+    n = len(want)
+    for index in (0, 1, n // 2, n - 1, -1, -2, -n):
+        assert view[index] == want[index], index
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[index]
+    with pytest.raises(TypeError):
+        view["0"]
+    cuts = [slice(None), slice(2, 9), slice(-5, None), slice(None, None, -3), slice(n, n + 4)]
+    for cut in cuts:
+        assert view[cut] == want[cut], cut
+        assert type(view[cut]) is list
+    assert view.index(want[-1]) == n - 1 and want[3] in view
+    with pytest.raises(TypeError):
+        hash(view)
+
+
+def test_failing_combinations_build_a_pair_only_when_read():
+    reads = []
+
+    class Text(list):
+        def __getitem__(self, n):
+            reads.append(n)
+            return super().__getitem__(n)
+
+    view = FailingCombinations(
+        [("s",)], Text(["a", "b", "c"]), np.array([0, 0, 1]), np.array([1, 2, 2])
+    )
+    assert len(view) == 4 and view and not reads
+    assert view[2] == ("a", "c") and reads == [0, 2]
+    assert view == [("s",), ("a", "b"), ("a", "c"), ("b", "c")]
+    assert FailingCombinations([]) == [] and not FailingCombinations([])
+
+
+def test_verify_pairs_prints_the_list(pair_report, capsys):
+    # the CLI output of a pair report is the one a plain list of the same
+    # combinations gives
+    report, want = pair_report
+    rc = main(["verify", "--variant", "rotated", "-d", "3", "--scheme", "ue",
+               "--scrambled", "--pairs"])
+    assert rc == 1
+    listed = dataclasses.replace(report, failing_combinations=want)
+    lines = [listed.summary()] + ["  FAIL " + " + ".join(c) for c in want[:20]]
+    lines.append(f"  ... {len(want) - 20} more")
+    assert len(want) > 20
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -336,12 +336,15 @@ def test_a_noiseless_point_fails_no_shot(variant, d):
 # Failure counts of small fixed-seed runs at two noise strengths, three
 # chunks per point, so they pin the noise draws of six chunk streams each.
 # A change to how or in which order the noise is drawn shows here.  The
-# unrotated d=9 code has 72 checks, so its keys take two uint64 words.
+# unrotated d=9 code has 72 checks, so its keys take two uint64 words, and
+# many of its syndromes have more than 14 defects; its counts were frozen
+# anew when the DP took syndromes of 15 to 21 defects over from blossom,
+# which breaks some ties between minimum-weight matchings differently.
 FROZEN_FAILURES = {
     ("rotated", "ue", "zero", 3, (0.01, 0.03), 3000): (7, 57),
     ("rotated", "uea", "plus", 5, (0.01, 0.03), 3000): (14, 145),
     ("unrotated", "me", "zero", 3, (0.01, 0.03), 3000): (36, 183),
-    ("unrotated", "uea", "zero", 9, (0.02, 0.025), 600): (4, 11),
+    ("unrotated", "uea", "zero", 9, (0.02, 0.025), 600): (3, 15),
 }
 
 

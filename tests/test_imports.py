@@ -1,7 +1,12 @@
 """Every module of the package and of its tests uses every name it imports,
-and every definition of the package is referenced somewhere."""
+every definition of the package is referenced somewhere, and importing and
+running the package loads only the modules it needs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,3 +99,33 @@ def test_every_definition_in_the_package_is_referenced():
         if all(where == path and first <= line <= last for where, line in seen.get(name, []))
     ]
     assert unreferenced == []
+
+
+def modules_after(script: str) -> set[str]:
+    """The names in sys.modules after running script in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_loads_numpy_random_but_not_networkx():
+    # numpy.random is loaded at import, not inside the first run; networkx
+    # only on the first syndrome above the DP's guard
+    loaded = modules_after("import surfenc")
+    assert "numpy.random" in loaded
+    assert "networkx" not in loaded
+
+
+def test_a_run_at_the_decode_benchmark_point_leaves_networkx_unloaded():
+    # unrotated uea d=7 at p=1e-2: no syndrome of these shots exceeds the guard
+    loaded = modules_after(
+        "from surfenc import ExperimentConfig, run_experiment\n"
+        "config = ExperimentConfig(variant='unrotated', scheme='uea', target='zero',"
+        " distances=(7,), noise_strengths=(1e-2,), shots=4096, seed=1)\n"
+        "assert run_experiment(config)[0].failures > 0"
+    )
+    assert "surfenc.harness" in loaded
+    assert "networkx" not in loaded
