@@ -31,37 +31,39 @@ minimum-weight matchings tie, the DP and blossom may pick pairs of
 different logical parity, so the guard is part of the decoder's output.
 The DP and blossom work on check indices and read the graph's own tables
 (blossom's twin of check a is node m + a), so a syndrome is its defect
-set.  The correction is the XOR of the matched pairs' path masks.  Callers
-ask one question of it, whether it flips the protected logical, so
-SyndromeDecoder.decode_syndrome returns and caches that parity bit per
-syndrome: the XOR of the matched pairs' path parities, read without
-building the correction.  That answer depends only on the check matrix,
-the data qubits and the syndrome, so every decoder of one
-(CheckMatrix, data qubits) pair shares one MatchingGraph, which holds the
-parity cache, whichever scheme or run_experiment point asked for it: the
-three encoders of one code and target decode each syndrome once.  One
-writer stores every answer, batched or not, and keeps the cache at most
-_CACHE_LIMIT syndromes.  SyndromeDecoder.failures judges packed keys, Monte
-Carlo shots and fault classes alike: a key fails when its parity differs
-from its correction's, and each distinct syndrome is decoded once.
-failures decodes most syndromes in batches.  It groups the distinct
-uncached syndromes by defect count k, and each group of at least _BATCH_MIN
-syndromes with k <= _BATCH_LIMIT goes through one numpy subset DP,
-_match_dp_batch, with one column per syndrome.  It visits the subsets the
-DP above reaches from the full set, smallest first, and carries per
-subset its cost and the logical parity of its pairs; MatchingGraph keeps
-the distances and path parities as arrays for it.  Each subset starts
-from sending its lowest defect to the boundary and takes the first
-cheapest partner only when that is strictly cheaper, the full table's
-rule, so the batch makes the scalar DP's picks, ties included, and
-returns the parity decode_syndrome would.  It only drops the near
-pruning, which skips nothing that could win.  Smaller groups go one by
-one through decode_syndrome, because a batch costs a fixed numpy call
-overhead per subset size that only a large enough group pays back, and so
-do groups above _BATCH_LIMIT, since the batch builds tables of 2^k rows.
-match_defects_bruteforce re-solves the matching by
-enumerating every pairing and exists purely as an independent cross-check;
-nothing in the decode path calls it.
+set.  The correction is the XOR of the matched pairs' path masks.
+
+Callers ask one question of it, whether it flips the protected logical.
+That answer, the XOR of the matched pairs' path parities, depends only on
+the check matrix, the data qubits and the syndrome, so every decoder of one
+(CheckMatrix, data qubits) pair shares one MatchingGraph, whichever scheme
+or run_experiment point asked for it: the three encoders of one code and
+target decode each syndrome once.  MatchingGraph.parities is the one answer
+path and the only reader and writer of the graph's parity cache.  It reads
+the cache, groups the misses by defect count k, and decodes each group one
+of two ways.  A group of at least _BATCH_MIN syndromes with k <=
+_BATCH_LIMIT goes through one numpy subset DP, _match_dp_batch, with one
+column per syndrome; the rest go one by one through match.  Small groups
+stay scalar because a batch costs a fixed numpy call overhead per subset
+size that only a large enough group pays back, and groups above
+_BATCH_LIMIT because the batch builds tables of 2^k rows.  It then stores
+the group at once, emptying the cache first if the group would take it past
+_CACHE_LIMIT syndromes, and keeping no group larger than that.
+SyndromeDecoder.failures judges packed keys, Monte Carlo shots and fault
+classes alike through it: a key fails when its parity differs from its
+correction's, and each distinct syndrome is decoded once;
+SyndromeDecoder.decode_syndrome asks it about one syndrome.
+
+The batched DP visits the subsets the scalar DP reaches from the full set,
+smallest first, and carries per subset its cost and the logical parity of
+its pairs; MatchingGraph keeps the distances and path parities as arrays
+for it.  Each subset starts from sending its lowest defect to the boundary
+and takes the first cheapest partner only when that is strictly cheaper,
+the full table's rule, so the batch makes the scalar DP's picks, ties
+included, and returns the parity match would give.  It only drops the near
+pruning, which skips nothing that could win.  match_defects_bruteforce
+re-solves the matching by enumerating every pairing and exists purely as an
+independent cross-check; nothing in the decode path calls it.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ from .stab_sim import qubit_mask
 _DP_LIMIT = 21
 # the batched DP takes syndromes of at most this many defects
 _BATCH_LIMIT = 14
-# failures sends a chunk's uncached syndromes of one defect count through
-# one batched DP when there are at least this many of them; fewer go one by one
+# MatchingGraph.parities sends its uncached syndromes of one defect count
+# through one batched DP when there are at least this many; fewer go one by one
 _BATCH_MIN = 32
 # one batched DP call fills at most this many (subset, syndrome) table cells
 _BATCH_CELLS = 1 << 18
@@ -234,7 +236,7 @@ class MatchingGraph:
         # the matchers read these by check index, so a syndrome is its defect set
         self.bdist = [row[m] for row in self.dist[:m]]
         self.near = _near(self.dist, self.bdist)
-        # syndrome -> its correction's logical parity; SyndromeDecoder._store writes it
+        # syndrome -> its correction's logical parity; only parities() reads or writes it
         self.cache: dict[int, int] = {}
 
     def match(self, syndrome: int) -> tuple[list[tuple[int, int | None]], int]:
@@ -263,14 +265,43 @@ class MatchingGraph:
             mask ^= paths[i][edge if j is None else j]
         return mask, weight
 
-    def correction_parity(self, syndrome: int) -> int:
-        """The logical parity of decode()'s correction, without building it."""
-        pairs, _ = self.match(syndrome)
-        parity, edge = self.parity, self.boundary
-        flip = 0
-        for i, j in pairs:
-            flip ^= parity[i][edge if j is None else j]
-        return flip
+    def parities(self, syndromes: list[int], rows: np.ndarray | None) -> np.ndarray:
+        """The logical parity of decode()'s correction per syndrome, as a bool array.
+
+        rows[n] is syndromes[n] as little-endian bytes.  Cached answers are
+        read, and the misses are grouped by defect count k.  A group of at
+        least _BATCH_MIN syndromes with k <= _BATCH_LIMIT goes through
+        correction_parities, which reads its defect sets from rows; the rest
+        go one by one through match and the path-parity table, so a call of
+        fewer than _BATCH_MIN syndromes may pass rows None.  Each group is
+        stored at once, after emptying the cache if it would overfill it; a
+        group larger than _CACHE_LIMIT is not kept.
+        """
+        cache, parity, edge = self.cache, self.parity, self.boundary
+        # 2: not cached; the misses' answers are written in place
+        known = np.array([cache.get(s, 2) for s in syndromes], dtype=np.uint8)
+        todo = np.flatnonzero(known == 2)
+        count = np.array([syndromes[n].bit_count() for n in todo.tolist()], dtype=np.intp)
+        # np.bincount, not np.unique: without return_inverse, np.unique
+        # imports numpy.ma on first use, half a megabyte
+        for k in np.flatnonzero(np.bincount(count)).tolist():
+            group = todo[count == k]
+            batch = [syndromes[n] for n in group.tolist()]
+            if k <= _BATCH_LIMIT and len(batch) >= _BATCH_MIN:
+                bits = np.unpackbits(rows[group], axis=1, bitorder="little")
+                defects = np.flatnonzero(bits).reshape(len(batch), k) % bits.shape[1]
+                known[group] = self.correction_parities(defects)
+            else:
+                # the XOR of the matched pairs' path parities, as a sum's low bit
+                known[group] = [
+                    sum(parity[i][edge if j is None else j] for i, j in self.match(s)[0]) & 1
+                    for s in batch
+                ]
+            if len(cache) + len(batch) > _CACHE_LIMIT:
+                cache.clear()
+            if len(batch) <= _CACHE_LIMIT:
+                cache.update(zip(batch, known[group].tolist()))
+        return known == 1
 
     def correction_parities(self, defects: np.ndarray) -> np.ndarray:
         """The logical parity of decode()'s correction, per row of defects.
@@ -484,18 +515,19 @@ class SyndromeDecoder:
     """Caching decoder bound to a code and a protected preparation target.
 
     The target's CheckMatrix says which checks flag which errors; the
-    matching graph is built on those checks and caches each syndrome's
-    answer, the protected-logical parity of its correction, so repeated
-    syndromes decode once.  One graph, so one cache, is the state of every
-    decoder whose CheckMatrix and code.data_ids are equal (_shared_state):
-    they are all the answer reads, so a hand-built or modified code never
-    borrows another code's answers.  The 32 most recently used graphs are
-    kept.  _store writes every answer and keeps a cache at most
-    _CACHE_LIMIT syndromes, about 80 MB of keys and dict, so the ceiling is
-    about 2.5 GB, reached only when 32 codes and targets each decode 2^20
-    distinct syndromes.  A graph's tables are under 1 MB up to unrotated
-    d=11.  A batched DP call holds _BATCH_CELLS (subset, syndrome) cells of
-    cost and parity and its temporaries, a few MB at most, and frees them.
+    matching graph is built on those checks and answers every syndrome
+    through MatchingGraph.parities, which caches each answer, the
+    protected-logical parity of its correction, so repeated syndromes decode
+    once.  One graph, so one cache, is the state of every decoder whose
+    CheckMatrix and code.data_ids are equal (_shared_state): they are all
+    the answer reads, so a hand-built or modified code never borrows another
+    code's answers.  The 32 most recently used graphs are kept.  A cache
+    holds at most _CACHE_LIMIT syndromes, about 80 MB of keys and dict, so
+    the ceiling is about 2.5 GB, reached only when 32 codes and targets each
+    decode 2^20 distinct syndromes.  A graph's tables are under 1 MB up to
+    unrotated d=11.  A batched DP call holds _BATCH_CELLS (subset, syndrome)
+    cells of cost and parity and its temporaries, a few MB at most, and
+    frees them.
     """
 
     code: SurfaceCode
@@ -509,20 +541,7 @@ class SyndromeDecoder:
 
     def decode_syndrome(self, syndrome: int) -> int:
         """The protected-logical parity of the syndrome's correction."""
-        parity = self.graph.cache.get(syndrome)
-        if parity is None:
-            parity = self.graph.correction_parity(syndrome)
-            self._store([syndrome], [parity])
-        return parity
-
-    def _store(self, syndromes: list[int], parities: list[int]) -> None:
-        """Cache uncached syndromes' answers, emptying the cache first if they
-        would overfill it; a group over _CACHE_LIMIT by itself is not kept."""
-        cache = self.graph.cache
-        if len(cache) + len(syndromes) > _CACHE_LIMIT:
-            cache.clear()
-        if len(syndromes) <= _CACHE_LIMIT:
-            cache.update(zip(syndromes, parities))
+        return int(self.graph.parities([syndrome], None)[0])
 
     def failures(self, keys: np.ndarray) -> np.ndarray:
         """Per column of packed keys (CheckMatrix.pack), whether it fails.
@@ -558,37 +577,8 @@ class SyndromeDecoder:
         # row n: syndrome n's words as little-endian bytes; the row width is
         # explicit, since a chunk without a nonempty syndrome has no rows
         words = uniq.view(np.uint8).reshape(len(uniq), uniq.dtype.itemsize)
-        corr = self._decode_distinct(words, syndromes)
-        parity[hit] ^= corr[inv]
+        parity[hit] ^= self.graph.parities(syndromes, words)[inv]
         return parity
-
-    def _decode_distinct(self, words: np.ndarray, syndromes: list[int]) -> np.ndarray:
-        """decode_syndrome of each distinct nonempty syndrome, as a bool array.
-
-        words[n] is syndromes[n] as little-endian bytes.  Uncached syndromes
-        are grouped by defect count.  A group of at least _BATCH_MIN
-        syndromes of at most _BATCH_LIMIT defects goes through one batched DP,
-        whose answers join the cache; the rest go one by one.
-        """
-        cache = self.graph.cache
-        known = np.array([cache.get(s, 2) for s in syndromes], dtype=np.uint8)
-        corr = known == 1
-        todo = np.flatnonzero(known == 2)  # 2: not cached
-        count = np.array([syndromes[n].bit_count() for n in todo.tolist()], dtype=np.intp)
-        # np.bincount, not np.unique: without return_inverse, np.unique
-        # imports numpy.ma on first use, half a megabyte
-        for k in np.flatnonzero(np.bincount(count)).tolist():
-            group = todo[count == k]
-            batch = [syndromes[n] for n in group.tolist()]
-            if k <= _BATCH_LIMIT and len(batch) >= _BATCH_MIN:
-                bits = np.unpackbits(words[group], axis=1, bitorder="little")
-                defects = np.flatnonzero(bits).reshape(len(batch), k) % bits.shape[1]
-                found = self.graph.correction_parities(defects)
-                self._store(batch, found.view(np.uint8).tolist())
-            else:
-                found = [self.decode_syndrome(s) for s in batch]
-            corr[group] = found
-        return corr
 
     def is_logical_failure(self, error_mask: int) -> bool:
         """Decode, correct, and test the residual against the logical.

@@ -255,7 +255,7 @@ def test_blossom_engine_agrees_with_dp_above_limit(monkeypatch):
             assert calls == ([syn] if k > decoder._DP_LIMIT else [])
             assert weight == w_dp == mask.bit_count()
             assert matrix.syndrome(mask) == syn
-            assert graph.correction_parity(syn) == matrix.logical_parity(mask)
+            assert graph.parities([syn], None).tolist() == [matrix.logical_parity(mask) == 1]
 
 
 def test_decoding_is_deterministic_and_cached():
@@ -365,7 +365,8 @@ def _batched_parities(monkeypatch, dec, syndromes):
     def unbatched(self, syndrome):
         raise AssertionError(f"syndrome {syndrome:#x} was decoded one by one")
 
-    monkeypatch.setattr(SyndromeDecoder, "decode_syndrome", unbatched)
+    # match is the one scalar route of MatchingGraph.parities
+    monkeypatch.setattr(MatchingGraph, "match", unbatched)
     return dec.failures(dec.matrix.pack(syndromes)).tolist()
 
 

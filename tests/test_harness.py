@@ -423,6 +423,27 @@ def test_min_failures_stops_pooled_work(monkeypatch):
     assert used <= runs.value <= used + workers * len(solo)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_reports_each_point_once_in_point_order(workers):
+    # one call per point, in point order, with the very results the run
+    # returns, including a point that min_failures stopped early
+    cfg = ExperimentConfig(
+        distances=(3, 5),
+        noise_strengths=(1e-3, 0.1),
+        shots=4000,
+        seed=4,
+        chunk=500,
+        min_failures=10,
+        workers=workers,
+    )
+    seen = []
+    results = run_experiment(cfg, progress=seen.append)
+    assert [(r.d, r.p) for r in results] == [(3, 1e-3), (3, 0.1), (5, 1e-3), (5, 0.1)]
+    assert len(seen) == len(results) and all(a is b for a, b in zip(seen, results))
+    assert any(r.shots < cfg.shots for r in results)
+    assert any(r.shots == cfg.shots for r in results)
+
+
 def test_point_order_is_distance_major():
     cfg = ExperimentConfig(
         distances=(3, 5),
