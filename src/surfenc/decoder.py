@@ -55,13 +55,17 @@ correction's, and each distinct syndrome is decoded once;
 SyndromeDecoder.decode_syndrome asks it about one syndrome.
 
 The batched DP visits the subsets the scalar DP reaches from the full set,
-smallest first, and carries per subset its cost and the logical parity of
-its pairs; MatchingGraph keeps the distances and path parities as arrays
-for it.  Each subset starts from sending its lowest defect to the boundary
-and takes the first cheapest partner only when that is strictly cheaper,
-the full table's rule, so the batch makes the scalar DP's picks, ties
-included, and returns the parity match would give.  It only drops the near
-pruning, which skips nothing that could win.  match_defects_bruteforce
+smallest first, and keeps per subset one unsigned integer, its cost << 7 |
+the logical parity of its pairs; MatchingGraph keeps the paths' cells,
+dist << 7 | parity, in one table for it.  A subset's options are its lowest
+defect to the boundary, ranked 0, and to each partner j, ranked 2(j + 1),
+and each option's sum of cells carries its rank in bits 1-6, so one min
+picks the least (cost, rank): the boundary unless a partner is strictly
+cheaper, else the first cheapest partner, the full table's rule.  Adding
+two cells XORs their parities and carries into the rank's low bit, which
+no rank uses, so the batch makes the scalar DP's picks, ties included, and
+returns the parity match would give.  It only drops the near pruning,
+which skips nothing that could win.  match_defects_bruteforce
 re-solves the matching by enumerating every pairing and exists purely as an
 independent cross-check; nothing in the decode path calls it.
 """
@@ -228,11 +232,11 @@ class MatchingGraph:
             self.paths.append(path)
         self.dist = [[p.bit_count() for p in row] for row in self.paths]
         self.parity = [[matrix.logical_parity(p) for p in row] for row in self.paths]
-        # the batched DP's tables, the distances in the smallest unsigned
-        # type that holds a DP cost, at most _BATCH_LIMIT distances
-        top = _BATCH_LIMIT * max(map(max, self.dist))
-        self.dist_array = np.array(self.dist, dtype=np.min_scalar_type(top))
-        self.parity_array = np.array(self.parity, dtype=bool)
+        # the batched DP's cells, dist << 7 | parity, in the smallest unsigned
+        # type that holds a candidate's cost, at most _BATCH_LIMIT distances,
+        # above _match_dp_batch's rank and parity bits
+        dtype = np.min_scalar_type(_BATCH_LIMIT * max(map(max, self.dist)) << 7 | 127)
+        self.cells = np.array(self.dist, dtype) << 7 | np.array(self.parity, dtype)
         # the matchers read these by check index, so a syndrome is its defect set
         self.bdist = [row[m] for row in self.dist[:m]]
         self.near = _near(self.dist, self.bdist)
@@ -318,10 +322,9 @@ class MatchingGraph:
                 [self.correction_parities(defects[lo : lo + block]) for lo in range(0, n, block)]
             )
         ends = defects.T
-        dist, parity, edge = self.dist_array, self.parity_array, self.boundary
+        # column 0 of defect i is its boundary path, column j + 1 its path to j
         return _match_dp_batch(
-            dist[ends[:, None], ends], dist[ends, edge],
-            parity[ends[:, None], ends], parity[ends, edge],
+            self.cells[ends[:, None], np.vstack([np.full((1, n), self.boundary), ends])]
         )
 
 
@@ -392,9 +395,11 @@ def _dp_plan(k: int):
     set by dropping the lowest defect alone or with one partner: row 0 is
     the empty set, the rows of the subsets of r defects form one block
     after those of r - 1, and the full set is the last row.  Step r fills
-    block r as (lo, hi, low, rest, pair, pair_rest): per subset its lowest
-    defect i, the row of the subset without i, and per partner j, ascending,
-    the index i * k + j and the row of the subset without i and j.
+    block r as (lo, hi, src, dst), one row per subset and one column per
+    option for its lowest defect i: column 0 sends i to the boundary and
+    column c > 0 pairs it with its c-th partner j, ascending.  src is the
+    option's cell, i * (k + 1) for the boundary and i * (k + 1) + j + 1
+    for j, and dst the row of the subset without i, and without j.
 
     A subset whose lowest defect is t is reachable iff at most t defects
     above t are missing from it.  Reaching it takes at most t steps, since
@@ -419,43 +424,37 @@ def _dp_plan(k: int):
     for r in range(1, k + 1):
         lo, hi = bounds[r], bounds[r + 1]
         block = order[lo:hi]
-        i = low[block]
-        rest = block ^ 1 << i
-        j = np.flatnonzero(rest[:, None] >> np.arange(k) & 1).reshape(hi - lo, r - 1) % k
-        steps.append((lo, hi, i, row[rest], i[:, None] * k + j, row[rest[:, None] ^ 1 << j]))
+        i = low[block][:, None]
+        rest = block[:, None] ^ 1 << i
+        j = np.flatnonzero(rest >> np.arange(k) & 1).reshape(hi - lo, r - 1) % k
+        src = i * (k + 1) + np.hstack([np.zeros_like(i), j + 1])
+        steps.append((lo, hi, src, row[np.hstack([rest, rest ^ 1 << j])]))
     return steps, len(order)
 
 
-def _match_dp_batch(dd, bd, pp, bp):
+def _match_dp_batch(cells):
     """_match_dp's picks on N defect sets at once, returning their parities.
 
-    Column n of every table is one defect set of k defects: dd[i][j][n] and
-    bd[i][n] are its distances, pp[i][j][n] and bp[i][n] the parities of the
-    matching paths.  The result is, per column, the XOR of the parities of
-    the pairs _match_dp picks, as a (N,) bool array.
+    cells is a (k, k + 1, N) array of an unsigned type, one column per
+    defect set of k defects: cells[i][0][n] is dist << 7 | parity of the
+    path from defect i to the boundary, cells[i][j + 1][n] that of its path
+    to defect j, and the type holds k of these distances shifted by 7.  The
+    result is, per column, the XOR of the parities of the pairs _match_dp
+    picks, as a (N,) bool array; cells is overwritten.
     """
-    k, n = bd.shape
+    k, _, n = cells.shape
     steps, rows = _dp_plan(k)
-    dd = dd.reshape(k * k, n)
-    pp = pp.reshape(k * k, n)
-    cost = np.zeros((rows, n), dtype=dd.dtype)
-    par = np.zeros((rows, n), dtype=bool)
-    cols = np.arange(n)
-    for lo, hi, low, rest, pair, pair_rest in steps:
-        # each subset starts from sending its lowest defect to the boundary
-        c, p = cost[lo:hi], par[lo:hi]
-        np.add(bd[low], cost[rest], out=c)
-        np.bitwise_xor(bp[low], par[rest], out=p)
-        if pair.shape[1]:
-            # the first cheapest partner, taken only if strictly cheaper
-            cand = dd[pair] + cost[pair_rest]
-            best = cand.argmin(axis=1)
-            flip = (pp[pair] ^ par[pair_rest])[np.arange(hi - lo)[:, None], best, cols]
-            cand = cand.min(axis=1)
-            win = cand < c
-            np.copyto(c, cand, where=win)
-            np.copyto(p, flip, where=win)
-    return par[-1]
+    # column c's cells ranked 2c in bits 1-6 (module docstring); keep clears
+    # the rank from each subset's least option
+    cells += (np.arange(k + 1, dtype=cells.dtype) << 2)[:, None]
+    tab = cells.reshape(-1, n)
+    keep = cells.dtype.type(np.iinfo(cells.dtype).max ^ 126)
+    cost = np.zeros((rows, n), dtype=cells.dtype)
+    for lo, hi, src, dst in steps:
+        cand = tab[src]
+        cand += cost[dst]
+        np.bitwise_and(cand.min(axis=1), keep, out=cost[lo:hi])
+    return (cost[-1] & 1).astype(bool)
 
 
 def _match_blossom(dist, bdist, s):
@@ -526,8 +525,8 @@ class SyndromeDecoder:
     the ceiling is about 2.5 GB, reached only when 32 codes and targets each
     decode 2^20 distinct syndromes.  A graph's tables are under 1 MB up to
     unrotated d=11.  A batched DP call holds _BATCH_CELLS (subset, syndrome)
-    cells of cost and parity and its temporaries, a few MB at most, and
-    frees them.
+    cells of packed cost and parity and its temporaries, a few MB at most,
+    and frees them.
     """
 
     code: SurfaceCode

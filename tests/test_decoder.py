@@ -54,6 +54,13 @@ def _reference_dp(dd, bd):
     return pairs, cost[full]
 
 
+def _cells(dd, bd, pp, bp, dtype):
+    """_match_dp_batch's (k, k + 1, N) cells from (k, k, N) pair and (k, N)
+    boundary distances and path parities."""
+    dist = np.concatenate([bd[:, None], dd], axis=1).astype(dtype)
+    return dist << 7 | np.concatenate([bp[:, None], pp], axis=1).astype(dtype)
+
+
 def _dp(dd, bd):
     """_match_dp over all the defects of dd and bd."""
     return _match_dp(dd, bd, (1 << len(bd)) - 1, _near(dd, bd))
@@ -466,15 +473,17 @@ def test_the_batched_dp_visits_the_subsets_the_dp_reaches():
         row = {s: n for n, s in enumerate(order)}
         steps, rows = decoder._dp_plan(k)
         assert rows == len(order)
-        for r, (lo, hi, low, rest, pair, pair_rest) in enumerate(steps, 1):
+        for r, (lo, hi, src, dst) in enumerate(steps, 1):
             block = order[lo:hi]
             assert [s.bit_count() for s in block] == [r] * len(block)
+            assert src.shape == dst.shape == (hi - lo, r)
             for n, s in enumerate(block):
                 i = (s & -s).bit_length() - 1
                 partners = [j for j in range(i + 1, k) if s >> j & 1]
-                assert low[n] == i and rest[n] == row[s ^ 1 << i]
-                assert pair[n].tolist() == [i * k + j for j in partners]
-                assert pair_rest[n].tolist() == [row[s ^ 1 << i ^ 1 << j] for j in partners]
+                # column 0: the lowest defect to the boundary, with the rest row
+                assert src[n, 0] == i * (k + 1) and dst[n, 0] == row[s ^ 1 << i]
+                assert src[n, 1:].tolist() == [i * (k + 1) + j + 1 for j in partners]
+                assert dst[n, 1:].tolist() == [row[s ^ 1 << i ^ 1 << j] for j in partners]
         counts.append(rows - 1)
     assert counts == [1, 2, 4, 7, 12, 20, 33, 54, 88, 143, 232, 376, 609, 986]
 
@@ -500,12 +509,53 @@ def test_batched_dp_parities_equal_the_full_table_on_ties():
             assert _dp(dd, bd)[0] == pairs
             want.append(bool(sum(bp[i, n] if j is None else pp[i, j, n] for i, j in pairs) % 2))
         got = decoder._match_dp_batch(
-            np.array([dd for dd, _ in cases]).transpose(1, 2, 0),
-            np.array([bd for _, bd in cases]).T,
-            pp,
-            bp,
+            _cells(
+                np.array([dd for dd, _ in cases]).transpose(1, 2, 0),
+                np.array([bd for _, bd in cases]).T,
+                pp,
+                bp,
+                np.uint16,
+            )
         )
         assert got.tolist() == want, k
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+def test_packed_cells_keep_rank_and_parity_at_the_top_of_the_cost_field(dtype):
+    # Two families of distances per k: every pair 2b and every boundary b,
+    # where every candidate of every subset ties, and all distances b,
+    # where the partners tie with each other and, on odd subsets, with the
+    # boundary.  b puts the largest candidate at the top of the cost field,
+    # past uint16 in the wider types, and a random parity per path and
+    # column shows a carry or a cost spilling into the rank or parity bits
+    top = np.iinfo(dtype).max >> 7
+    flips = np.random.default_rng(37)
+    cols = 16
+    for k in range(1, decoder._BATCH_LIMIT + 1):
+        for scale, largest in ((2, k), (1, k // 2 + 1)):
+            b = top // largest
+            dd = [[0 if i == j else scale * b for j in range(k)] for i in range(k)]
+            bd = [b] * k
+            pairs, weight = _reference_dp(dd, bd)
+            assert weight <= largest * b <= top
+            pp = flips.integers(0, 2, size=(k, k, cols)).astype(bool)
+            pp = pp | pp.transpose(1, 0, 2)
+            bp = flips.integers(0, 2, size=(k, cols)).astype(bool)
+            want = [
+                bool(sum(bp[i, n] if j is None else pp[i, j, n] for i, j in pairs) % 2)
+                for n in range(cols)
+            ]
+            cells = _cells(
+                np.broadcast_to(np.array(dd, dtype)[:, :, None], (k, k, cols)),
+                np.broadcast_to(np.array(bd, dtype)[:, None], (k, cols)),
+                pp,
+                bp,
+                dtype,
+            )
+            assert cells.dtype == dtype
+            assert dtype is np.uint16 or cells.max() > np.iinfo(np.uint16).max
+            got = decoder._match_dp_batch(cells)
+            assert got.tolist() == want, (k, scale)
 
 
 def test_decoders_of_one_code_and_target_share_graph_and_cache():
