@@ -6,15 +6,17 @@ RNG stream, Philox keyed by (seed, i) with counter (0, 0, c, 0), so results
 are bit-identical no matter how chunks are distributed over workers.
 
 A shot's syndrome and logical parity are linear in its faults, so no qubit
-is simulated.  Per point, one backward pass in the key space of the target's
-CheckMatrix (fault_analysis.backward_images, the same table the exhaustive
-enumeration reads) gives every basis fault its key, syndrome | logical
-parity << m for m checks, packed into uint64 words by CheckMatrix.pack.
-Per chunk, each noise instruction draws its hits and their basis faults
-through stab_sim.noise_draws, as the reference frame sampler
-stab_sim.sample_final_frames does, and bitwise_xor.at XORs the keys of the
-hit faults into their shots.  SyndromeDecoder.failures then judges the
-shots' keys, as it judges the exhaustive enumeration's.
+is simulated, and the fault model is p-free.  Per (variant, scheme, target,
+d), one backward pass in the key space of the target's CheckMatrix
+(fault_analysis.backward_images, the same table the exhaustive enumeration
+reads) over the circuit built at p = 0, which has every noise site, gives
+every basis fault its key, syndrome | logical parity << m for m checks,
+packed into uint64 words by CheckMatrix.pack, and its verdict: whether that
+key alone fails.  Per chunk, each noise instruction draws its hits at the
+point's p through stab_sim.noise_draws, as the reference frame sampler
+stab_sim.sample_final_frames does.  A shot hit once fails iff its fault's
+verdict does; bitwise_xor.at XORs the keys of the shots hit more often, and
+SyndromeDecoder.failures judges them.
 """
 
 from __future__ import annotations
@@ -33,15 +35,16 @@ import numpy as np
 # out of the first run_experiment call
 from numpy.random import Generator, Philox
 
-from .circuit_ir import CHANNELS, Circuit
+from .circuit_ir import CHANNELS
 from .code_model import CodeVariant, build_code, validate_distance
 from .decoder import SyndromeDecoder
-from .encoders import Scheme, Target, generate_circuit, noise_strength
+from .encoders import Scheme, Target, build_plan, noise_strength, plan_to_circuit
 from .fault_analysis import backward_images
 from .stab_sim import noise_draws
 
-# sample_final_frames stays importable from here: perfbench/rep.py wraps
-# harness.sample_final_frames by that name.
+# generate_circuit and sample_final_frames stay importable from here:
+# perfbench/rep.py wraps them as harness attributes by those names.
+from .encoders import generate_circuit  # noqa: F401
 from .stab_sim import sample_final_frames  # noqa: F401
 
 CHUNK_SHOTS = 65536
@@ -118,8 +121,12 @@ class ExperimentConfig:
         if self.min_failures is not None and self.min_failures <= 0:
             raise ValueError(f"min_failures must be positive, got {self.min_failures}")
         for name in ("distances", "noise_strengths"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{name} repeats the value {repeats[0]!r}")
         self.variant = CodeVariant(self.variant).value
         self.scheme = Scheme(self.scheme).value
         self.target = Target(self.target).value
@@ -176,62 +183,88 @@ def chunk_rng(seed: int, point_index: int, chunk_id: int) -> Generator:
     return Generator(bits)
 
 
-def sample_fault_keys(
-    circuit: Circuit, keys: np.ndarray, shots: int, rng: Generator
-) -> np.ndarray:
-    """Per shot, the XOR of the keys of the basis faults that hit it.
-
-    keys is word-major, (W, F) uint64: column f belongs to basis fault f of
-    the circuit's fault_analysis.backward_images table, which lists each
-    noise site's basis faults in CHANNELS order, as noise_draws numbers them.
-    The result is (W, shots) in the same layout.  The draws come from
-    stab_sim.noise_draws, so for an equal rng column s is the linear map
-    behind keys applied to shot s of stab_sim.sample_final_frames.
-    """
-    acc = np.zeros((len(keys), shots), dtype=keys.dtype)
-    base = 0
-    for _, instr in circuit.instructions():
-        if not instr.is_noise:
-            continue
-        site, shot, b = noise_draws(instr, shots, rng)
-        per_site = len(CHANNELS[instr.name])
-        fault = base + per_site * site + b
-        base += per_site * instr.n_sites
-        # ufunc.at, so that faults hitting one shot all land
-        for row, key in zip(acc, keys):
-            np.bitwise_xor.at(row, shot, key[fault])
+def _scatter(keys: np.ndarray, fault: np.ndarray, column: np.ndarray, n: int) -> np.ndarray:
+    """(W, n) table whose column c is the XOR of keys[:, f] over the hits (f, c)."""
+    acc = np.zeros((len(keys), n), dtype=keys.dtype)
+    # ufunc.at, so that faults hitting one column all land
+    for row, key in zip(acc, keys):
+        np.bitwise_xor.at(row, column, key[fault])
     return acc
 
 
-class _PointEngine:
-    """Per-point compiled state: circuit, decoder and one key per basis fault.
+def sample_fault_keys(engine: _PointEngine, shots: int, p: float, rng: Generator) -> np.ndarray:
+    """Per shot, the XOR of the keys of the basis faults that hit it at p.
 
-    keys[:, f] is fault f's key in the decoder's CheckMatrix, packed by
-    CheckMatrix.pack.
+    The result is (W, shots), laid out as engine.keys.  For an equal rng,
+    column s is the linear map behind the keys applied to shot s of
+    stab_sim.sample_final_frames on the circuit generated at p.
+    """
+    shot, fault = engine.hits(shots, p, rng)
+    return _scatter(engine.keys, fault, shot, shots)
+
+
+class _PointEngine:
+    """The p-free fault model of one (variant, scheme, target, d), and its decoder.
+
+    keys[:, f] is basis fault f's key in the decoder's CheckMatrix, packed
+    by CheckMatrix.pack; faults are numbered as backward_images and
+    noise_draws number them.  verdict[f] is whether that key alone fails.
+    schedule holds per noise instruction its channel, basis count, site
+    count and first fault index.
     """
 
-    def __init__(self, variant: str, scheme: str, target: str, d: int, p: float):
+    def __init__(self, variant: str, scheme: str, target: str, d: int):
         self.code = build_code(CodeVariant(variant), d)
-        self.circuit = generate_circuit(variant, d, scheme, target, p)
+        circuit = plan_to_circuit(build_plan(self.code, Scheme(scheme), Target(target)), 0.0)
         self.decoder = SyndromeDecoder(self.code, target)
         matrix = self.decoder.matrix
-        table = backward_images(self.circuit, matrix.key_images(self.circuit.n_qubits))
+        table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
         self.keys = matrix.pack(map(matrix.read, table.res_x, table.res_z))
+        self.verdict = self.decoder.failures(self.keys)
+        self.schedule, first = [], 0
+        for instr in (i for _, i in circuit.instructions() if i.is_noise):
+            bases = len(CHANNELS[instr.name])
+            self.schedule.append((instr.name, bases, instr.n_sites, first))
+            first += bases * instr.n_sites
 
-    def count_chunk_failures(self, shots: int, rng: Generator) -> int:
-        syn = sample_fault_keys(self.circuit, self.keys, shots, rng)
-        return int(np.count_nonzero(self.decoder.failures(syn)))
+    def hits(self, shots: int, p: float, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+        """(shot, fault) of every hit of one chunk at p, in draw order."""
+        shot, fault = [], []
+        for channel, bases, sites, first in self.schedule:
+            site, hit, b = noise_draws(channel, sites, p, shots, rng)
+            shot.append(hit)
+            fault.append(first + bases * site + b)
+        # int32 halves the arrays, which are at their largest before the judge
+        return np.concatenate(shot, dtype=np.int32), np.concatenate(fault, dtype=np.int32)
+
+    def _split(self, shots: int, p: float, rng: Generator) -> tuple[int, np.ndarray]:
+        """(failing shots hit once, keys of the shots hit more often); the hit
+        arrays die on return, so they do not stack on the decoder's peak."""
+        shot, fault = self.hits(shots, p, rng)
+        count = np.bincount(shot, minlength=shots)
+        once = count[shot] == 1
+        # np.compress, several times cheaper here than indexing by the mask
+        failing = int(np.count_nonzero(self.verdict[np.compress(once, fault)]))
+        # number the shots hit more than once: their columns of the compact table
+        multi = np.flatnonzero(count > 1)
+        count[multi] = np.arange(len(multi))
+        shot, fault = count[np.compress(~once, shot)], np.compress(~once, fault)
+        return failing, _scatter(self.keys, fault, shot, len(multi))
+
+    def count_chunk_failures(self, shots: int, p: float, rng: Generator) -> int:
+        failing, table = self._split(shots, p, rng)
+        return failing + int(np.count_nonzero(self.decoder.failures(table)))
 
 
-# a run visits its points in order, so a few engines serve all its chunks
+# one model per p-free point; a run visits its points in order, d by d, so a
+# few models serve all its chunks
 _engine = functools.lru_cache(maxsize=4)(_PointEngine)
 
 
 def _chunk_task(task: tuple) -> int:
     variant, scheme, target, d, p, seed, point_index, chunk_id, shots = task
-    engine = _engine(variant, scheme, target, d, p)
-    rng = chunk_rng(seed, point_index, chunk_id)
-    return engine.count_chunk_failures(shots, rng)
+    engine = _engine(variant, scheme, target, d)
+    return engine.count_chunk_failures(shots, p, chunk_rng(seed, point_index, chunk_id))
 
 
 def _chunk_plan(total_shots: int, chunk: int) -> list[int]:
@@ -277,20 +310,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
     pool = multiprocessing.Pool(workers) if workers > 1 else None
     try:
         for point_index, (d, p) in enumerate(points):
-            tasks = [
-                (
-                    config.variant,
-                    config.scheme,
-                    config.target,
-                    d,
-                    p,
-                    config.seed,
-                    point_index,
-                    chunk_id,
-                    shots,
-                )
-                for chunk_id, shots in enumerate(sizes)
-            ]
+            point = (config.variant, config.scheme, config.target, d, p, config.seed, point_index)
+            tasks = [(*point, chunk_id, shots) for chunk_id, shots in enumerate(sizes)]
             failures = 0
             shots_done = 0
             stream = _in_order(pool, tasks, workers) if pool else map(_chunk_task, tasks)

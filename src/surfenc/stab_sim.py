@@ -14,7 +14,7 @@ Three independent execution routes over the same circuit IR:
   the circuit.  It is the reference for the Monte Carlo harness, not its
   hot path: the harness XORs per-fault syndrome keys instead of
   propagating frames, and both take their noise from noise_draws, so for
-  one rng they see the same faults in the same shots.
+  one rng and one p they see the same faults in the same shots.
 
 Conventions: qubit q's X/Z component is bit q of an integer mask
 (PauliString) or column q of a bool array (tableau, frames).
@@ -290,19 +290,20 @@ def _sample_hits(
 
 
 def noise_draws(
-    instr: Instruction, shots: int, rng: np.random.Generator
+    channel: str, sites: int, p: float, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The random draws of one noise instruction over `shots` shots.
 
-    Returns (site, shot, b): the hit sites (indices into instr.sites()), the
-    shot of each hit and its basis fault, drawn uniformly, as an index into
-    CHANNELS[instr.name] (zero, with no draw, for a one-fault channel).  The
-    frame sampler (sample_final_frames) and the key sampler
-    (harness.sample_fault_keys) both take their noise from here, so handed
-    equal generators they consume them identically.
+    The instruction applies `channel`, a CHANNELS name, to `sites` sites
+    with probability p each.  Returns (site, shot, b): the hit sites
+    (indices into its sites()), the shot of each hit and its basis fault,
+    drawn uniformly, as an index into CHANNELS[channel] (zero, with no draw,
+    for a one-fault channel).  The frame sampler (sample_final_frames) and
+    the Monte Carlo harness, which passes p per chunk, both take their noise
+    from here, so handed equal generators they consume them identically.
     """
-    bases = len(CHANNELS[instr.name])
-    site, shot = _sample_hits(rng, instr.n_sites, shots, instr.arg)
+    bases = len(CHANNELS[channel])
+    site, shot = _sample_hits(rng, sites, shots, p)
     b = rng.integers(0, bases, len(site)) if bases > 1 else np.zeros_like(site)
     return site, shot, b
 
@@ -339,12 +340,12 @@ def sample_final_frames(
         elif name in ("M", "MX"):
             pass
         elif name in ("X_ERROR", "Z_ERROR"):
-            site, shot, _ = noise_draws(instr, shots, rng)
+            site, shot, _ = noise_draws(name, instr.n_sites, instr.arg, shots, rng)
             qubit = np.array(instr.targets)[site]
             # ufunc.at, so that hits on one frame bit all land
             np.bitwise_xor.at(frames, (0 if name == "X_ERROR" else 1, qubit, shot), True)
         elif name == "DEPOLARIZE2":
-            site, shot, b = noise_draws(instr, shots, rng)
+            site, shot, b = noise_draws(name, instr.n_sites, instr.arg, shots, rng)
             pairs = np.array(instr.targets).reshape(-1, 2)
             hit, j = np.nonzero(((b[:, None] + 1) >> _DEPOL_SHIFTS) & 1)
             np.bitwise_xor.at(frames, (j % 2, pairs[site[hit], j // 2], shot[hit]), True)

@@ -138,6 +138,7 @@ def test_circuit_commands_reject_bad_distance_and_p(command, extra, capsys):
         (["--distances", ""], None, "argument --distances: invalid int value: ''"),
         (["--distances", "3,x"], None, "argument --distances: invalid int value: 'x'"),
         (["--distances", "3,4"], None, "argument --distances: distance must be"),
+        (["--distances", "3,3"], None, "distances repeats the value 3"),
         (
             ["--distances", "3", "--noise-strengths", "1e-3,abc"], None,
             "argument --noise-strengths: invalid float value: 'abc'",

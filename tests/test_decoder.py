@@ -210,9 +210,9 @@ def test_dp_pairs_equal_the_full_table_on_a_sampled_chunk(monkeypatch, chunk_syn
 def chunk_syndromes():
     """A new-graph factory for unrotated d=7 target zero and the distinct
     syndromes of at most _BATCH_LIMIT defects of one sampled uea chunk there."""
-    engine = _PointEngine("unrotated", "uea", "zero", 7, 1e-2)
+    engine = _PointEngine("unrotated", "uea", "zero", 7)
     matrix = engine.decoder.matrix
-    keys = sample_fault_keys(engine.circuit, engine.keys, 2048, chunk_rng(7, 0, 0))
+    keys = sample_fault_keys(engine, 2048, 1e-2, chunk_rng(7, 0, 0))
     assert keys.shape[0] == 1
     syndromes = np.unique(keys[0] & np.uint64((1 << len(matrix.rows)) - 1)).tolist()
     new_graph = functools.partial(MatchingGraph, matrix, engine.code.data_ids)

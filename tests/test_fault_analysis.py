@@ -128,7 +128,7 @@ def test_key_space_pass_gives_syndrome_and_parity(variant, scheme, target, compl
     assert any(key >> m for key in want) and any(key & ((1 << m) - 1) for key in want)
     if not complementary:
         # the Monte Carlo's key words hold the same keys
-        engine = _PointEngine(variant.value, scheme.value, target.value, 3, 1e-3)
+        engine = _PointEngine(variant.value, scheme.value, target.value, 3)
         words = np.ascontiguousarray(engine.keys.T)
         assert [int.from_bytes(row.tobytes(), "little") for row in words] == want
 

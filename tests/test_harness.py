@@ -11,7 +11,7 @@ import pytest
 from surfenc import harness
 from surfenc.decoder import SyndromeDecoder
 from surfenc.code_model import CodeVariant, build_code
-from surfenc.encoders import Scheme, Target, generate_circuit
+from surfenc.encoders import Scheme, Target, generate_circuit, scramble_plan
 from surfenc.harness import (
     ExperimentConfig,
     PointResult,
@@ -131,6 +131,8 @@ def test_config_validation_and_roundtrip():
         ("distances", 5),
         ("distances", "35"),
         ("noise_strengths", 1e-3),
+        ("distances", (3, 3)),
+        ("noise_strengths", (1e-3, 0.001)),
     ],
 )
 def test_config_rejects_out_of_range_value(field, value):
@@ -245,12 +247,13 @@ _KEY_SAMPLER_CASES = [
 def test_fault_key_sampler_equals_the_frame_sampler_shot_for_shot(variant, d, scheme, target, p):
     # second route for the Monte Carlo sampler: on one rng stream, every
     # shot's syndrome and parity equal those of its propagated frame
-    engine = harness._PointEngine(variant, scheme, target, d, p)
+    engine = harness._PointEngine(variant, scheme, target, d)
     shots = 200
     rng_keys, rng_frames = chunk_rng(3, 1, 2), chunk_rng(3, 1, 2)
-    sampled = harness.sample_fault_keys(engine.circuit, engine.keys, shots, rng_keys)
+    sampled = harness.sample_fault_keys(engine, shots, p, rng_keys)
     got = [int.from_bytes(col.tobytes(), "little") for col in np.ascontiguousarray(sampled.T)]
-    want = _frame_keys(engine.decoder.matrix, engine.circuit, shots, rng_frames)
+    circuit = generate_circuit(variant, d, scheme, target, p)
+    want = _frame_keys(engine.decoder.matrix, circuit, shots, rng_frames)
     assert got == want
     # both consumed the stream alike, and the shots carry syndromes
     assert rng_keys.integers(1 << 62) == rng_frames.integers(1 << 62)
@@ -258,6 +261,54 @@ def test_fault_key_sampler_equals_the_frame_sampler_shot_for_shot(variant, d, sc
     assert sampled.shape == (len(engine.decoder.matrix.rows) // 64 + 1, shots)
     if d == 9:
         assert sampled.shape[0] == 2 and max(got).bit_length() > 64
+
+
+@pytest.mark.parametrize(
+    "variant, d, scheme, p, scrambled",
+    [
+        ("rotated", 3, "ue", 0.0, False),
+        ("rotated", 3, "ue", 1e-2, False),
+        ("rotated", 3, "ue", 1.0, False),
+        ("unrotated", 9, "uea", 2e-2, False),
+        # the only model here with failing single faults
+        ("rotated", 3, "ue", 1e-2, True),
+    ],
+)
+def test_chunk_failure_count_equals_judging_every_shot(
+    monkeypatch, variant, d, scheme, p, scrambled
+):
+    # second route for the per-fault verdict table: a chunk's count, which
+    # judges a shot hit once by its fault's verdict, equals judging every
+    # shot's key on the same stream
+    if scrambled:
+        plan = harness.build_plan
+        monkeypatch.setattr(harness, "build_plan", lambda *args: scramble_plan(plan(*args)))
+    engine = harness._PointEngine(variant, scheme, "zero", d)
+    shots = 2000
+    rng_count, rng_keys = chunk_rng(9, 0, 1), chunk_rng(9, 0, 1)
+    got = engine.count_chunk_failures(shots, p, rng_count)
+    keys = harness.sample_fault_keys(engine, shots, p, rng_keys)
+    assert got == np.count_nonzero(engine.decoder.failures(keys))
+    assert rng_count.integers(1 << 62) == rng_keys.integers(1 << 62)
+    assert keys.shape[0] == (2 if d == 9 else 1)
+    assert engine.verdict.any() == scrambled
+    if scrambled:
+        # shots hit once by a failing fault are among the failures
+        shot, fault = engine.hits(shots, p, chunk_rng(9, 0, 1))
+        once = np.bincount(shot, minlength=shots)[shot] == 1
+        assert 0 < np.count_nonzero(engine.verdict[fault[once]]) <= got
+
+
+def test_one_model_per_p_free_point(monkeypatch):
+    built = []
+    build_code = harness.build_code
+    monkeypatch.setattr(harness, "build_code", lambda *args: built.append(args) or build_code(*args))
+    harness._engine.cache_clear()
+    run_experiment(
+        ExperimentConfig(distances=(3, 5), noise_strengths=(1e-3, 1e-2), shots=1000, seed=2)
+    )
+    assert harness._engine.cache_info().misses == 2
+    assert len(built) == 2
 
 
 def test_results_identical_across_worker_counts():
