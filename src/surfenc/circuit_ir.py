@@ -15,6 +15,12 @@ Supported instructions:
     X_ERROR(p) q ...        independent X flip per qubit
     Z_ERROR(p) q ...        independent Z flip per qubit
 
+A CX or DEPOLARIZE2 instruction takes any number of pairs, as stim's format
+does, and a qubit may appear in only one pair of a CX.  The encoders write
+one CX and one DEPOLARIZE2 per CNOT slot (one layer), over all of the slot's
+pairs, so each noise instruction, which the Monte Carlo samples with one
+draw call, covers a whole slot.
+
 CHANNELS lists each noise channel's basis faults, once for the whole package.
 The text format is line-oriented: `# key: value` header lines, one
 instruction per line, `TICK` between consecutive layers.
@@ -110,7 +116,8 @@ class Circuit:
         if self.n_qubits <= 0:
             raise ValueError("n_qubits must be positive")
         for k, layer in enumerate(self.layers):
-            touched: set[int] = set()
+            # qubit -> index of the instruction that touched it
+            touched: dict[int, int] = {}
             for i, instr in enumerate(layer):
                 bad = [t for t in instr.targets if not 0 <= t < self.n_qubits]
                 if bad:
@@ -119,8 +126,11 @@ class Circuit:
                     continue
                 for t in instr.targets:
                     if t in touched:
-                        raise LayerError(k, i, f"qubit {t} touched by two instructions")
-                    touched.add(t)
+                        how = "by two instructions"
+                        if touched[t] == i:
+                            how = f"twice by one {instr.name}"
+                        raise LayerError(k, i, f"qubit {t} touched {how}")
+                    touched[t] = i
 
     def instructions(self):
         """Yield (layer_index, instruction) in execution order."""

@@ -223,6 +223,12 @@ def plan_to_circuit(plan: EncodingPlan, p: float) -> Circuit:
     same layer.  Measurements are noiseless.  Noise instructions are emitted
     even at p = 0 so that fault enumeration sees the same site structure at
     every noise strength.
+
+    A CNOT slot is one layer: one CX instruction with the slot's pairs in
+    fan order, then one DEPOLARIZE2 over the same pairs in the same order;
+    an idle slot is an empty layer.  The Monte Carlo draws once per noise
+    instruction, so this grouping fixes how its draws are split, not the
+    noise model.
     """
     p = noise_strength(p)
     code = plan.code
@@ -241,12 +247,10 @@ def plan_to_circuit(plan: EncodingPlan, p: float) -> Circuit:
     for stage in plan.stages:
         # one layer per slot, as many as the longest fan has; None is idle
         for column in itertools.zip_longest(*(gadget_gates(g, kind) for g in stage)):
-            layer: list[Instruction] = []
-            for gate in column:
-                if gate is not None:
-                    layer.append(Instruction("CX", gate))
-                    layer.append(Instruction("DEPOLARIZE2", gate, p))
-            layers.append(layer)
+            pairs = tuple(q for gate in column if gate is not None for q in gate)
+            layers.append(
+                [Instruction("CX", pairs), Instruction("DEPOLARIZE2", pairs, p)] if pairs else []
+            )
     if plan.scheme is Scheme.ME:
         layers.append([Instruction("MX" if zero else "M", tuple(pivots))])
 

@@ -12,11 +12,12 @@ d), one backward pass in the key space of the target's CheckMatrix
 reads) over the circuit built at p = 0, which has every noise site, gives
 every basis fault its key, syndrome | logical parity << m for m checks,
 packed into uint64 words by CheckMatrix.pack, and its verdict: whether that
-key alone fails.  Per chunk, each noise instruction draws its hits at the
-point's p through stab_sim.noise_draws, as the reference frame sampler
-stab_sim.sample_final_frames does.  A shot hit once fails iff its fault's
-verdict does; bitwise_xor.at XORs the keys of the shots hit more often, and
-SyndromeDecoder.failures judges them.
+key alone fails.  Per chunk, each noise instruction (one per reset group
+and one per CNOT slot, as encoders.plan_to_circuit emits them) draws its
+hits at the point's p through stab_sim.noise_draws, as the reference frame
+sampler stab_sim.sample_final_frames does.  A shot hit once fails iff its
+fault's verdict does; bitwise_xor.at XORs the keys of the shots hit more
+often, and SyndromeDecoder.failures judges them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import collections.abc
 import csv
 import functools
 import math
-import multiprocessing
 import operator
 from dataclasses import dataclass, asdict
 
@@ -307,7 +307,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[PointResult]
     results: list[PointResult] = []
     # a worker past the chunk count of a point would never get a chunk
     workers = min(config.workers, len(sizes))
-    pool = multiprocessing.Pool(workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: a one-worker run would pay its import for nothing
+        import multiprocessing
+
+        pool = multiprocessing.Pool(workers)
     try:
         for point_index, (d, p) in enumerate(points):
             point = (config.variant, config.scheme, config.target, d, p, config.seed, point_index)

@@ -121,6 +121,7 @@ def test_parse_errors():
         ("# qubits: 2\nCX 0 1\nDEPOLARIZE2(0.1) 0 0\n", r"^line 3: DEPOLARIZE2: the pair"),
         ("# qubits: 2\nCX 0 5\n", r"^line 2: layer 0: target 5 outside 0\.\.1"),
         ("# qubits: 3\nCX 0 1\nR 1\n", r"^line 3: layer 0: qubit 1 touched by two"),
+        ("# qubits: 3\nCX 0 1 1 2\n", r"^line 2: layer 0: qubit 1 touched twice by one CX$"),
         ("# qubits: 2\n# qubits: 3\nCX 0 2\n", r"^line 2: repeated '# qubits' header"),
         ("R 0\n# qubits: 0\n", r"^line 2: n_qubits must be positive"),
         (
@@ -130,7 +131,7 @@ def test_parse_errors():
     ],
     ids=[
         "qubits", "probability", "float", "odd", "argument", "repeat",
-        "bounds", "exclusive", "header-twice", "zero-qubits", "metadata-twice",
+        "bounds", "exclusive", "exclusive-within", "header-twice", "zero-qubits", "metadata-twice",
     ],
 )
 def test_parse_errors_name_their_line(text, message):

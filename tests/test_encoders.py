@@ -310,40 +310,42 @@ def test_gates_are_geometrically_local(variant, scheme):
 
 # sha256 of generate_circuit(variant, d, scheme, target, 1e-3, scrambled).to_text(),
 # keyed by (variant, scheme, target, d, scrambled): the emitted bytes, layer
-# order and reset groups included, are part of every seeded result
+# order and reset groups included, are part of every seeded result.  Frozen
+# anew when each CNOT slot became one CX and one DEPOLARIZE2 instruction;
+# test_circuit_sites_are_frozen shows that only the grouping moved.
 FROZEN_CIRCUIT_DIGESTS = {
-    ("rotated", "ue", "zero", 3, False): "03d7402c516550855a4be36a601abf6d36fe8969036e1ca586c58cff03dd9ff2",
-    ("rotated", "ue", "zero", 5, False): "5233ce0c0ec47bb9bb7785177a7eb26161454cfaf49569db73ca740a70685013",
-    ("rotated", "ue", "plus", 3, False): "77ccf13cf4cecc20c55a12e2af5bae1dcd2c81f9992f987108ec208f82f6fd38",
-    ("rotated", "ue", "plus", 5, False): "fd5808e938304313ce3fdb052789830e460a75e51d9659f0b2987218bff1c1b2",
-    ("rotated", "uea", "zero", 3, False): "e2dc6f19b4f25a9653bc9185580aee444cde0e71f1210d567921afe56ac30fa2",
-    ("rotated", "uea", "zero", 5, False): "a4f719b1eef92610aa3bd06895323f81e9f10c9cc80ed02babf3b4d45cffba26",
-    ("rotated", "uea", "plus", 3, False): "0bb496dbc2013d95a94650c536161e0e14141b5b24771dc6f7d5beee56cec866",
-    ("rotated", "uea", "plus", 5, False): "d6ec3a64a7284ea16d7cd3a10e5b64c24714c630e07d7113bd6826481918c997",
-    ("rotated", "me", "zero", 3, False): "0086d06093dc86d5d8ad0adc0e4e24e80fe1c6f86f135fc47415ba716ab877b8",
-    ("rotated", "me", "zero", 5, False): "ac5642012db0580342166cac5c5674d5a848c03ae620cdbc5b48ea53c6327fc7",
-    ("rotated", "me", "plus", 3, False): "b65e5cdc97b415c960468ce5f76a6c83f5c77631a9bf5f3445fc61daddb28e56",
-    ("rotated", "me", "plus", 5, False): "c9225aa68b8dfe0e2ce06f50f689911c5ef5846821d02157fe250b2716f600ca",
-    ("unrotated", "ue", "zero", 3, False): "389bac2b60f0bd4b20f22b2c0e6012e66a9a1887b56fa035e5db9c25a7e307d9",
-    ("unrotated", "ue", "zero", 5, False): "00db49e82e1ab15f8fd2e2ba3eb15b8493c4b5cda442be36001a712d9133db73",
-    ("unrotated", "ue", "plus", 3, False): "e4dbe465a60c3d1d0d81894faf5843e47a159066aeb7806990088f084378388e",
-    ("unrotated", "ue", "plus", 5, False): "f6e84351a84fd1700617d112e97087f15ebff7a2944cdafd8d71113716bf4a31",
-    ("unrotated", "uea", "zero", 3, False): "9ae1680baccb0b0b9871c84096e55a3c82c3b4e9b9a6b5a2c666bf8e32b6632d",
-    ("unrotated", "uea", "zero", 5, False): "06f572e4897b62ada893985357cb35dcdf71b6d62b3d130750c7c615263d251e",
-    ("unrotated", "uea", "plus", 3, False): "d8c5c2402edec06be61e7f1a30390bac1d1c300f08f834588aeafa818da1777b",
-    ("unrotated", "uea", "plus", 5, False): "8ff1bee19ee17a891f2d7c7a92376fb918e4f6b12a476aa29fbdfbf2dddfd13c",
-    ("unrotated", "me", "zero", 3, False): "4499b2ee59d7c8fb57aa96768935094e8a5707cc0a60b0a2d0db14a3c635f16a",
-    ("unrotated", "me", "zero", 5, False): "954636e74f24abf46d52382990b81f2bfcccb176d4ff123d55e1327e5c14055d",
-    ("unrotated", "me", "plus", 3, False): "350302f283dc3f9a9f4d22a2a3696eded694da82334af41a8a97ce028921584e",
-    ("unrotated", "me", "plus", 5, False): "0693990f83bd7d5e814c06a6d163847abe41e21e3843c04d229cb9e0534afeab",
-    ("rotated", "ue", "zero", 3, True): "fba67d2f130304ca507ea0de8d9d33147c2f076e596f017b12a2f088b9ca0c66",
-    ("rotated", "ue", "zero", 5, True): "f9e89b2b2ad4334222b579ffd7908016d38419646029e44ca1379e2a531548d6",
-    ("rotated", "ue", "plus", 3, True): "9255c88b7797a6a9a6ec389238cb95dc86c5552ee4c7c11a96842af09ae61797",
-    ("rotated", "ue", "plus", 5, True): "a3b5a0c89bdcec02f86848b2f54a2ccebd187dd51ed025b7c3efa2c8dde65dcc",
-    ("unrotated", "ue", "zero", 3, True): "f8b63b0c7a08211fefb823452b76f2dd6701c53e9af56a7329c6e3b61e27f92a",
-    ("unrotated", "ue", "zero", 5, True): "e84360528a6afc3c2b4d9ef127999fbc9b99c574aacbe469752e77cf263efe38",
-    ("unrotated", "ue", "plus", 3, True): "90628ff0c6607510b51b96b9a0e70179b4cf6fbe15f34eec5a1756ea17b81fa6",
-    ("unrotated", "ue", "plus", 5, True): "994d1fac1fbe54190d2801566cee61ce681879210f954db5c7a7fa6a7ece2753",
+    ("rotated", "ue", "zero", 3, False): "1007ea9dfa17d5aecbf759888c2645e964b30ea6e4b3588bae5fc4aea4c52408",
+    ("rotated", "ue", "zero", 5, False): "125f03e227704b33983d7f27576c53928bfa653790aef6d7aba7edba043f1f9e",
+    ("rotated", "ue", "plus", 3, False): "d1a1983ad9e94e53901455e3ea584e16a2d9cbfb813d82fd411e921ea58451e2",
+    ("rotated", "ue", "plus", 5, False): "00408e938471cf28b014ca9ef4a0c7b026d3d0f324b580b5922162a4b7bf58e8",
+    ("rotated", "uea", "zero", 3, False): "98fb82e14fd3c475a3c1ec54175ae46287f9d4429ec8efd700c0043eb8f6ef86",
+    ("rotated", "uea", "zero", 5, False): "3cb0662fc0eadb708072864f833e90b6d55232dff8df5f8a8dea488524ab219f",
+    ("rotated", "uea", "plus", 3, False): "1c2f9a54aa3d4f9acd304f89569697cc67a209a4202ac286ef732f14969c0d52",
+    ("rotated", "uea", "plus", 5, False): "1e915ea992c97b55a668ea589e8a0cdc91a7bc4713ea0d1b1b11e3dc098af9ad",
+    ("rotated", "me", "zero", 3, False): "528022f3336a47ee555a9cda93813fc0553159b83da0710977926e0823d79e9b",
+    ("rotated", "me", "zero", 5, False): "7f234d83a1f9edb1bea1effdbbd83764e031623e041fdcb3ebfaeef63217424a",
+    ("rotated", "me", "plus", 3, False): "29dd0ff4ea082be0234f0b89581074bc17a5c8d48b1fb65dbfb5e0f9ecad8292",
+    ("rotated", "me", "plus", 5, False): "632cefdcb43330c353a8e55b05af3eb056382a1a7e14e6f9d511ea8f8ba94839",
+    ("unrotated", "ue", "zero", 3, False): "193793855ec5f64e001c14c6cc4646215cd2892de51509580fe146742440bb3f",
+    ("unrotated", "ue", "zero", 5, False): "594259b3fea7bdca347d3932179e012a48f2c3bd19ac810ae09d2a2eae4b8c44",
+    ("unrotated", "ue", "plus", 3, False): "d27c0ed2bcd096fc34eb39bbcbd85c1638235a57edfaf93ff86643cd13cf1073",
+    ("unrotated", "ue", "plus", 5, False): "190cb7c91cc6a5fcf0a99f2c80b5f8692b4c45c888b7a0b25d135fbb24caaa89",
+    ("unrotated", "uea", "zero", 3, False): "a6e603050dd57d6e4f7854bb32176a85ab124527e2a615ed3f9d45a1f06fa698",
+    ("unrotated", "uea", "zero", 5, False): "d92e4684093c2fd6370a64a49f21051a56f233ee2f59ef47f767b88ba9b180c6",
+    ("unrotated", "uea", "plus", 3, False): "0bebeee5db0c072adcc77712dddd90bd9cdccb7b4a6ca4cb64c227a84b3e1bbd",
+    ("unrotated", "uea", "plus", 5, False): "4f6b130c7220045cdb394ea6330eef29d9ea543f5fda681490fdb991fb0fabf7",
+    ("unrotated", "me", "zero", 3, False): "c9fc7ed08b9f5dd4e7e78e0d8c5e6f40220deffb3d4dc594ddb309ac50f8e688",
+    ("unrotated", "me", "zero", 5, False): "f72eab53832713793de05346d2e0f0724d4bcfd396ff03f54b6c95ab02313ed4",
+    ("unrotated", "me", "plus", 3, False): "a6fc1396e28c278b0cc4c51557ca702b44e68303200c0ce865c6c8b2adefa8f8",
+    ("unrotated", "me", "plus", 5, False): "0e771b5e26e88ff2ccd79083f9002933d8f7d6ba864816202f97f79501527ca5",
+    ("rotated", "ue", "zero", 3, True): "b209fe7c5d0fd90f4e6470f9c2687e65462d6894c00ec9745a18bb57a8dc4e0f",
+    ("rotated", "ue", "zero", 5, True): "51d0f45824398a9867bd8af964e6438cea046e52c58aebf4bcc3d947646b4af5",
+    ("rotated", "ue", "plus", 3, True): "37c16e4464f31795cf433051c0bbec1a5e7ad20a47b0cacc131905bebb389a66",
+    ("rotated", "ue", "plus", 5, True): "8552339d90b97adce84b1b73cdfb98dec7baa8976df809e8394a95c9f7b2f382",
+    ("unrotated", "ue", "zero", 3, True): "9d85ed7dce98795e9163d813bcfccde661b1cb7abad31fbbcc5eddfeb069042b",
+    ("unrotated", "ue", "zero", 5, True): "a2006cd6f1c7e7c9cee1bd39a2619203357ce59fa801a271625443fbae08eb25",
+    ("unrotated", "ue", "plus", 3, True): "e4b6e80c253863d3ff811004278d77796b7abeb6f51882051c54aed5fa235513",
+    ("unrotated", "ue", "plus", 5, True): "c8df7fee9a8f96035e50bf6110bc4e520cb13868bd67c8d76a533d2220c032f1",
 }
 
 
@@ -356,3 +358,23 @@ def test_circuit_text_is_frozen(key):
     variant, scheme, target, d, scrambled = key
     text = generate_circuit(variant, d, scheme, target, 1e-3, scrambled=scrambled).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_CIRCUIT_DIGESTS[key]
+
+
+def test_circuit_sites_are_frozen():
+    # one sha256 over every site of the FROZEN_CIRCUIT_DIGESTS circuits as
+    # (layer, name, arg, site), ordered by layer and name and otherwise in
+    # circuit order: it stays put when a layer's sites move between
+    # instructions, and changes when a site, its layer, its channel or the
+    # order of one channel's sites does (frozen when every CNOT was its own
+    # CX and its own DEPOLARIZE2)
+    digest = hashlib.sha256()
+    for key in sorted(FROZEN_CIRCUIT_DIGESTS):
+        variant, scheme, target, d, scrambled = key
+        circuit = generate_circuit(variant, d, scheme, target, 1e-3, scrambled=scrambled)
+        sites = [
+            (k, instr.name, instr.arg, site)
+            for k, instr in circuit.instructions()
+            for site in instr.sites()
+        ]
+        digest.update(repr((key, sorted(sites, key=lambda s: s[:2]))).encode())
+    assert digest.hexdigest() == "612ecf3477540a3237aafc83bae5f5e78335d02c73f07acc9529476b497d6294"
