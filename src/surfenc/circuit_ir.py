@@ -18,8 +18,7 @@ Supported instructions:
 A CX or DEPOLARIZE2 instruction takes any number of pairs, as stim's format
 does, and a qubit may appear in only one pair of a CX.  The encoders write
 one CX and one DEPOLARIZE2 per CNOT slot (one layer), over all of the slot's
-pairs, so each noise instruction, which the Monte Carlo samples with one
-draw call, covers a whole slot.
+pairs.
 
 CHANNELS lists each noise channel's basis faults, once for the whole package.
 The text format is line-oriented: `# key: value` header lines, one
@@ -41,7 +40,7 @@ def _bases(*labels: str) -> tuple[tuple[str, int, int], ...]:
 
 # Per noise instruction, the basis faults of one site in draw order, as
 # (label, x, z): letter i of the label is the Pauli on the site's qubit i.
-# A hit site suffers one of them, drawn uniformly (stab_sim.noise_draws).
+# A hit site suffers one of them, drawn uniformly (stab_sim.draw_noise).
 # DEPOLARIZE2 orders its 15 by their bits xa za xb zb as a binary number.
 CHANNELS = {
     "DEPOLARIZE2": _bases(*(a + b for a in "IZXY" for b in "IZXY"))[1:],

@@ -11,13 +11,14 @@ d), one backward pass in the key space of the target's CheckMatrix
 (fault_analysis.backward_images, the same table the exhaustive enumeration
 reads) over the circuit built at p = 0, which has every noise site, gives
 every basis fault its key, syndrome | logical parity << m for m checks,
-packed into uint64 words by CheckMatrix.pack, and its verdict: whether that
-key alone fails.  Per chunk, each noise instruction (one per reset group
-and one per CNOT slot, as encoders.plan_to_circuit emits them) draws its
-hits at the point's p through stab_sim.noise_draws, as the reference frame
-sampler stab_sim.sample_final_frames does.  A shot hit once fails iff its
-fault's verdict does; bitwise_xor.at XORs the keys of the shots hit more
-often, and SyndromeDecoder.failures judges them.
+packed into uint64 words by CheckMatrix.pack, and its verdict (whether that
+key alone fails), and every noise site its first fault and basis count.  Per
+chunk, one stab_sim.draw_noise call draws all the noise at the point's p,
+over every noise site in circuit order, as the reference frame sampler
+stab_sim.sample_final_frames does.  The draw gives per shot its number of
+hits: a shot hit once fails iff its fault's verdict does; the keys of the
+shots hit more often are XORed, one column of hits at a time, and
+SyndromeDecoder.failures judges them.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ import numpy as np
 # out of the first run_experiment call
 from numpy.random import Generator, Philox
 
-from .circuit_ir import CHANNELS
 from .code_model import CodeVariant, build_code, validate_distance
 from .decoder import SyndromeDecoder
 from .encoders import Scheme, Target, build_plan, noise_strength, plan_to_circuit
 from .fault_analysis import backward_images
-from .stab_sim import noise_draws
+from .stab_sim import draw_noise
 
 # generate_circuit and sample_final_frames stay importable from here:
 # perfbench/rep.py wraps them as harness attributes by those names.
@@ -183,34 +183,29 @@ def chunk_rng(seed: int, point_index: int, chunk_id: int) -> Generator:
     return Generator(bits)
 
 
-def _scatter(keys: np.ndarray, fault: np.ndarray, column: np.ndarray, n: int) -> np.ndarray:
-    """(W, n) table whose column c is the XOR of keys[:, f] over the hits (f, c)."""
-    acc = np.zeros((len(keys), n), dtype=keys.dtype)
-    # ufunc.at, so that faults hitting one column all land
-    for row, key in zip(acc, keys):
-        np.bitwise_xor.at(row, column, key[fault])
-    return acc
-
-
 def sample_fault_keys(engine: _PointEngine, shots: int, p: float, rng: Generator) -> np.ndarray:
     """Per shot, the XOR of the keys of the basis faults that hit it at p.
 
-    The result is (W, shots), laid out as engine.keys.  For an equal rng,
-    column s is the linear map behind the keys applied to shot s of
-    stab_sim.sample_final_frames on the circuit generated at p.
+    The result is (W, shots), laid out as engine.keys, with the shots in
+    stab_sim.draw_noise's layout.  For an equal rng, column s is the linear
+    map behind the keys applied to shot s of stab_sim.sample_final_frames
+    on the circuit generated at p.
     """
-    shot, fault = engine.hits(shots, p, rng)
-    return _scatter(engine.keys, fault, shot, shots)
+    single, multi = engine.draw(shots, p, rng)
+    table = np.zeros((len(engine.keys), shots), dtype=engine.keys.dtype)
+    table[:, : multi.shape[1]] = multi
+    table[:, multi.shape[1] : multi.shape[1] + len(single)] = engine.keys.take(single, axis=1)
+    return table
 
 
 class _PointEngine:
     """The p-free fault model of one (variant, scheme, target, d), and its decoder.
 
     keys[:, f] is basis fault f's key in the decoder's CheckMatrix, packed
-    by CheckMatrix.pack; faults are numbered as backward_images and
-    noise_draws number them.  verdict[f] is whether that key alone fails.
-    schedule holds per noise instruction its channel, basis count, site
-    count and first fault index.
+    by CheckMatrix.pack; faults are numbered as backward_images numbers
+    them.  verdict[f] is whether that key alone fails.  Per noise site, in
+    circuit order, first holds its first fault and bases its basis count,
+    so that a hit on site s with basis fault b is fault first[s] + b.
     """
 
     def __init__(self, variant: str, scheme: str, target: str, d: int):
@@ -221,39 +216,29 @@ class _PointEngine:
         table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
         self.keys = matrix.pack(map(matrix.read, table.res_x, table.res_z))
         self.verdict = self.decoder.failures(self.keys)
-        self.schedule, first = [], 0
-        for instr in (i for _, i in circuit.instructions() if i.is_noise):
-            bases = len(CHANNELS[instr.name])
-            self.schedule.append((instr.name, bases, instr.n_sites, first))
-            first += bases * instr.n_sites
+        self.bases = np.bincount(table.site, minlength=len(table.sites))
+        # int32, as the draw's sites: the fault arrays peak before the judge
+        self.first = (np.cumsum(self.bases) - self.bases).astype(np.int32)
 
-    def hits(self, shots: int, p: float, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
-        """(shot, fault) of every hit of one chunk at p, in draw order."""
-        shot, fault = [], []
-        for channel, bases, sites, first in self.schedule:
-            site, hit, b = noise_draws(channel, sites, p, shots, rng)
-            shot.append(hit)
-            fault.append(first + bases * site + b)
-        # int32 halves the arrays, which are at their largest before the judge
-        return np.concatenate(shot, dtype=np.int32), np.concatenate(fault, dtype=np.int32)
-
-    def _split(self, shots: int, p: float, rng: Generator) -> tuple[int, np.ndarray]:
-        """(failing shots hit once, keys of the shots hit more often); the hit
-        arrays die on return, so they do not stack on the decoder's peak."""
-        shot, fault = self.hits(shots, p, rng)
-        count = np.bincount(shot, minlength=shots)
-        once = count[shot] == 1
-        # np.compress, several times cheaper here than indexing by the mask
-        failing = int(np.count_nonzero(self.verdict[np.compress(once, fault)]))
-        # number the shots hit more than once: their columns of the compact table
-        multi = np.flatnonzero(count > 1)
-        count[multi] = np.arange(len(multi))
-        shot, fault = count[np.compress(~once, shot)], np.compress(~once, fault)
-        return failing, _scatter(self.keys, fault, shot, len(multi))
+    def draw(self, shots: int, p: float, rng: Generator) -> tuple[np.ndarray, np.ndarray]:
+        """(faults of the shots hit once, (W, n_multi) XORed keys of the shots
+        hit more often) of one chunk at p, both in draw_noise's layout."""
+        draw = draw_noise(self.bases, p, shots, rng)
+        fault = self.first.take(draw.multi_site)
+        fault += draw.multi_basis
+        # column j hits each of the first active[j] shots once, so column 0
+        # covers every shot hit more than once
+        cut = np.cumsum(draw.active).tolist()
+        multi = self.keys.take(fault[: cut[0] if cut else 0], axis=1)
+        for start, end in zip(cut, cut[1:]):
+            multi[:, : end - start] ^= self.keys.take(fault[start:end], axis=1)
+        return self.first.take(draw.single_site) + draw.single_basis, multi
 
     def count_chunk_failures(self, shots: int, p: float, rng: Generator) -> int:
-        failing, table = self._split(shots, p, rng)
-        return failing + int(np.count_nonzero(self.decoder.failures(table)))
+        # the draw dies in draw(), so it does not stack on the decoder's peak
+        single, multi = self.draw(shots, p, rng)
+        failing = int(np.count_nonzero(self.verdict[single]))
+        return failing + int(np.count_nonzero(self.decoder.failures(multi)))
 
 
 # one model per p-free point; a run visits its points in order, d by d, so a

@@ -13,8 +13,13 @@ Three independent execution routes over the same circuit IR:
   frames; returns the accumulated X and Z frame components at the end of
   the circuit.  It is the reference for the Monte Carlo harness, not its
   hot path: the harness XORs per-fault syndrome keys instead of
-  propagating frames, and both take their noise from noise_draws, so for
-  one rng and one p they see the same faults in the same shots.
+  propagating frames.
+
+draw_noise draws the noise of a batch of shots over all of a circuit's
+noise sites at once, exactly: the number of shots hit k times for every k,
+then each hit shot's distinct sites, then each hit's basis fault.  The
+frame sampler and the harness both take their noise from it, so for one
+rng and one p they see the same faults in the same shots.
 
 Conventions: qubit q's X/Z component is bit q of an integer mask
 (PauliString) or column q of a bool array (tableau, frames).
@@ -22,7 +27,9 @@ Conventions: qubit q's X/Z component is bit q of an integer mask
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,38 +281,113 @@ class BatchTableau:
         return 1 - 2 * sign.astype(np.int8)
 
 
-def _sample_hits(
-    rng: np.random.Generator, sites: int, shots: int, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(site, shot) indices of the hits when each site fails with p per shot.
+# A hit draws one integer in [0, _BASIS_DRAW) and reduces it modulo its
+# site's basis count, which is exact for every count that divides 15: the 15
+# Paulis of DEPOLARIZE2 and the one of a flip channel.
+_BASIS_DRAW = 15
 
-    The hit count is Binomial(sites * shots, p) and the hits are a uniform
-    subset of that size, which together is exactly an independent
-    Bernoulli(p) draw per site and shot.
+
+def _hit_count_law(sites: int, p: float) -> np.ndarray:
+    """The Binomial(sites, p) probabilities of k = 0..sites hits, in O(sites)."""
+    if p == 1:
+        return np.eye(1, sites + 1, sites)[0]
+    # log-ratios of successive terms, rescaled so that no term underflows
+    k = np.arange(1, sites + 1)
+    log = np.cumsum(np.log((sites - k + 1) / k) + (math.log(p) - math.log1p(-p)))
+    law = np.exp(np.concatenate(([0.0], log)) - max(0.0, log.max()))
+    return law / law.sum()
+
+
+class NoiseDraw(NamedTuple):
+    """All the noise of one batch of shots over S sites: see draw_noise.
+
+    The shots are laid out by hit count: first the shots hit more than once,
+    most hits first, then the shots hit once, then the shots not hit.  Sites
+    index the S sites, and a basis fault indexes its site's CHANNELS entry.
+
+    single_site and single_basis hold the hit of each shot hit once.  The
+    shots hit more than once hold theirs column by column in multi_site and
+    multi_basis: column j holds the j-th hit (from 0) of each of the first
+    active[j] shots, those hit more than j times, and follows column j - 1.
     """
-    trials = sites * shots
-    hits = rng.binomial(trials, p)
-    flat = rng.choice(trials, size=hits, replace=False, shuffle=False)
-    return np.divmod(flat, shots)
+
+    single_site: np.ndarray
+    single_basis: np.ndarray
+    active: np.ndarray
+    multi_site: np.ndarray
+    multi_basis: np.ndarray
+
+    def hits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(shot, site, basis) of every hit, the shots in the layout above."""
+        multi = self.active[0] if len(self.active) else 0
+        column_start = np.repeat(np.cumsum(self.active) - self.active, self.active)
+        shot = np.arange(len(self.multi_site)) - column_start
+        return (
+            np.concatenate((shot, multi + np.arange(len(self.single_site)))),
+            np.concatenate((self.multi_site, self.single_site)),
+            np.concatenate((self.multi_basis, self.single_basis)),
+        )
 
 
-def noise_draws(
-    channel: str, sites: int, p: float, shots: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The random draws of one noise instruction over `shots` shots.
+def draw_noise(bases, p: float, shots: int, rng: np.random.Generator) -> NoiseDraw:
+    """One exact draw of the noise of `shots` shots over S = len(bases) sites.
 
-    The instruction applies `channel`, a CHANNELS name, to `sites` sites
-    with probability p each.  Returns (site, shot, b): the hit sites
-    (indices into its sites()), the shot of each hit and its basis fault,
-    drawn uniformly, as an index into CHANNELS[channel] (zero, with no draw,
-    for a one-fault channel).  The frame sampler (sample_final_frames) and
-    the Monte Carlo harness, which passes p per chunk, both take their noise
-    from here, so handed equal generators they consume them identically.
+    Each site fails with p, independently per shot, and a failing site s
+    suffers one of its bases[s] basis faults, uniformly.  The numbers of
+    shots hit k = 0..S times are one multinomial draw over the Binomial(S, p)
+    law.  A shot hit once draws its site.  A shot hit k >= 2 times draws a
+    uniform k-subset of distinct sites: by Floyd's algorithm where k * k <=
+    S, one step for all such shots at once, and otherwise as the k smallest
+    of S uniform keys, so that p near 1 costs O(S) per shot.  Then every hit
+    draws its basis fault.  p = 0 draws nothing.
+
+    The frame sampler (sample_final_frames) and the Monte Carlo harness both
+    take their noise from here, so handed equal generators they see the
+    same faults in the same shots.
     """
-    bases = len(CHANNELS[channel])
-    site, shot = _sample_hits(rng, sites, shots, p)
-    b = rng.integers(0, bases, len(site)) if bases > 1 else np.zeros_like(site)
-    return site, shot, b
+    bases = np.asarray(bases, dtype=np.uint8)
+    sites = len(bases)
+    if (_BASIS_DRAW % bases).any():
+        raise ValueError(f"basis counts must divide {_BASIS_DRAW}, got {sorted(set(bases.tolist()))}")
+    if p == 0 or sites == 0:
+        none = np.zeros(0, dtype=np.int32)
+        return NoiseDraw(none, none.astype(np.uint8), none, none, none.astype(np.uint8))
+    counts = rng.multinomial(shots, _hit_count_law(sites, p))
+    # the hit counts of the shots hit more than once, most first
+    hit_count = np.repeat(np.arange(sites, 1, -1), counts[:1:-1])
+    active = np.searchsorted(-hit_count, -np.arange(hit_count.max(initial=0)))
+    single_site = rng.integers(0, sites, counts[1], dtype=np.int32)
+    start = np.cumsum(active) - active
+    multi_site = np.empty(active.sum(), dtype=np.int32)
+    # the shots hit more than sqrt(S) times, grouped by hit count
+    large = int(np.count_nonzero(hit_count * hit_count > sites))
+    for k in np.flatnonzero(counts)[::-1].tolist():
+        if k * k <= sites:
+            break
+        lo, hi = np.searchsorted(-hit_count, (-k, 1 - k))
+        block = np.argpartition(rng.random((hi - lo, sites)), k - 1, axis=1)
+        for j in range(k):
+            multi_site[start[j] + lo:start[j] + hi] = block[:, j]
+    # Floyd's algorithm on the other shots, with column j holding the step
+    # j + 1 from the end of each k-subset: it draws t in [0, S - 1 - j] and
+    # takes t, or S - 1 - j where an earlier step (a higher column) took t
+    columns = hit_count[large:].max(initial=0)
+    for j in range(columns - 1, -1, -1):
+        t = rng.integers(0, sites - j, active[j] - large, dtype=np.int32)
+        taken = np.zeros(len(t), dtype=bool)
+        for i in range(j + 1, columns):
+            n = active[i] - large
+            taken[:n] |= multi_site[start[i] + large:start[i] + active[i]] == t[:n]
+        multi_site[start[j] + large:start[j] + active[j]] = np.where(taken, sites - 1 - j, t)
+    basis = rng.integers(0, _BASIS_DRAW, len(single_site) + len(multi_site), dtype=np.uint8)
+    single_basis, multi_basis = np.split(basis, [len(single_site)])
+    return NoiseDraw(
+        single_site,
+        single_basis % bases.take(single_site),
+        active,
+        multi_site,
+        multi_basis % bases.take(multi_site),
+    )
 
 
 # The frame sampler's own reading of a DEPOLARIZE2 draw b: bits of b + 1,
@@ -322,11 +404,27 @@ def sample_final_frames(
     The frame is the accumulated Pauli error relative to the noiseless run,
     kept as one bool array (component, qubit, shot) with component 0 = X and
     1 = Z.  A CX is two row XORs and a reset zeroes two rows; measurements
-    leave the frame untouched.  Noise is sampled sparsely by noise_draws: a
-    noise instruction draws its hit count, then the distinct hit positions
-    over its sites x shots, then (for DEPOLARIZE2) one of its 15 Paulis per
-    hit, so the draws scale with the number of errors, not of shots.
+    leave the frame untouched.  All the noise is drawn up front, by one
+    draw_noise call over the circuit's noise sites in circuit order, so the
+    draws scale with the number of errors, not of shots, and the shots come
+    out in draw_noise's layout, grouped by hit count.  The sweep applies
+    each hit when it reaches that hit's instruction.  Sites at p = 0 are
+    skipped; a circuit whose noise has two different nonzero p raises
+    ValueError.
     """
+    noisy = [instr for _, instr in circuit.instructions() if instr.is_noise and instr.arg]
+    strengths = sorted({instr.arg for instr in noisy})
+    if len(strengths) > 1:
+        raise ValueError(f"the frame sampler takes one noise strength, got {strengths}")
+    bases = [len(CHANNELS[instr.name]) for instr in noisy for _ in range(instr.n_sites)]
+    draw = draw_noise(bases, strengths[0] if noisy else 0.0, shots, rng)
+    shot, site, b = draw.hits()
+    order = np.argsort(site, kind="stable")
+    shot, site, b = shot[order], site[order], b[order]
+    # per noisy instruction, its first site and the span of its hits
+    first = np.cumsum([0] + [instr.n_sites for instr in noisy])
+    cut = np.searchsorted(site, first)
+    spans = iter(zip(first.tolist(), cut.tolist(), cut[1:].tolist()))
     frames = np.zeros((2, circuit.n_qubits, shots), dtype=bool)
     fx, fz = frames
     for _, instr in circuit.instructions():
@@ -337,18 +435,18 @@ def sample_final_frames(
                 fz[c] ^= fz[t]
         elif name in ("R", "RX"):
             frames[:, list(instr.targets)] = False
-        elif name in ("M", "MX"):
+        elif name in ("M", "MX") or (name in CHANNELS and not instr.arg):
             pass
         elif name in ("X_ERROR", "Z_ERROR"):
-            site, shot, _ = noise_draws(name, instr.n_sites, instr.arg, shots, rng)
-            qubit = np.array(instr.targets)[site]
+            start, lo, hi = next(spans)
+            qubit = np.array(instr.targets)[site[lo:hi] - start]
             # ufunc.at, so that hits on one frame bit all land
-            np.bitwise_xor.at(frames, (0 if name == "X_ERROR" else 1, qubit, shot), True)
+            np.bitwise_xor.at(frames, (0 if name == "X_ERROR" else 1, qubit, shot[lo:hi]), True)
         elif name == "DEPOLARIZE2":
-            site, shot, b = noise_draws(name, instr.n_sites, instr.arg, shots, rng)
-            pairs = np.array(instr.targets).reshape(-1, 2)
-            hit, j = np.nonzero(((b[:, None] + 1) >> _DEPOL_SHIFTS) & 1)
-            np.bitwise_xor.at(frames, (j % 2, pairs[site[hit], j // 2], shot[hit]), True)
+            start, lo, hi = next(spans)
+            pairs = np.array(instr.targets).reshape(-1, 2)[site[lo:hi] - start]
+            hit, j = np.nonzero(((b[lo:hi, None] + 1) >> _DEPOL_SHIFTS) & 1)
+            np.bitwise_xor.at(frames, (j % 2, pairs[hit, j // 2], shot[lo:hi][hit]), True)
         else:
             raise ValueError(f"unsupported instruction {name}")
     return np.ascontiguousarray(fx.T), np.ascontiguousarray(fz.T)

@@ -10,8 +10,10 @@ import pytest
 
 from surfenc import harness
 from surfenc.decoder import SyndromeDecoder
+from surfenc.circuit_ir import CHANNELS
 from surfenc.code_model import CodeVariant, build_code
 from surfenc.encoders import Scheme, Target, generate_circuit, scramble_plan
+from surfenc.fault_analysis import backward_images
 from surfenc.harness import (
     ExperimentConfig,
     PointResult,
@@ -294,9 +296,33 @@ def test_chunk_failure_count_equals_judging_every_shot(
     assert engine.verdict.any() == scrambled
     if scrambled:
         # shots hit once by a failing fault are among the failures
-        shot, fault = engine.hits(shots, p, chunk_rng(9, 0, 1))
-        once = np.bincount(shot, minlength=shots)[shot] == 1
-        assert 0 < np.count_nonzero(engine.verdict[fault[once]]) <= got
+        single, _ = engine.draw(shots, p, chunk_rng(9, 0, 1))
+        assert 0 < np.count_nonzero(engine.verdict[single]) <= got
+
+
+@pytest.mark.parametrize(
+    "variant, scheme, target, d",
+    [("rotated", "ue", "zero", 3), ("unrotated", "me", "plus", 5), ("rotated", "uea", "plus", 5)],
+)
+def test_the_model_numbers_noise_sites_in_circuit_order(variant, scheme, target, d):
+    # the draws and backward_images share one site numbering: per noise
+    # site in circuit order, its first fault and its channel's basis count
+    engine = harness._PointEngine(variant, scheme, target, d)
+    circuit = generate_circuit(variant, d, scheme, target, 1e-2)
+    sites = [
+        (layer, instr.name, qubits)
+        for layer, instr in circuit.instructions()
+        if instr.is_noise
+        for qubits in instr.sites()
+    ]
+    bases = [len(CHANNELS[name]) for _, name, _ in sites]
+    assert engine.bases.tolist() == bases
+    assert engine.first.tolist() == [sum(bases[:s]) for s in range(len(bases))]
+    assert engine.keys.shape[1] == sum(bases)
+    table = backward_images(circuit, ([1 << q for q in range(circuit.n_qubits)],) * 2)
+    assert list(table.sites) == sites
+    for s, (first, count) in enumerate(zip(engine.first.tolist(), bases)):
+        assert table.site[first : first + count] == [s] * count
 
 
 def test_one_model_per_p_free_point(monkeypatch):
@@ -392,12 +418,14 @@ def test_a_noiseless_point_fails_no_shot(variant, d):
 # anew when the DP took syndromes of 15 to 21 defects over from blossom,
 # which breaks some ties between minimum-weight matchings differently.  All
 # four were frozen anew when each CNOT slot became one CX and one DEPOLARIZE2
-# instruction: the same noise model, drawn per slot instead of per gate.
+# instruction, and again when a chunk came to draw all of its noise at once,
+# by per-shot hit count (stab_sim.draw_noise): the same noise model both
+# times, drawn from the stream in another order.
 FROZEN_FAILURES = {
-    ("rotated", "ue", "zero", 3, (0.01, 0.03), 3000): (8, 52),
-    ("rotated", "uea", "plus", 5, (0.01, 0.03), 3000): (15, 160),
-    ("unrotated", "me", "zero", 3, (0.01, 0.03), 3000): (25, 211),
-    ("unrotated", "uea", "zero", 9, (0.02, 0.025), 600): (7, 13),
+    ("rotated", "ue", "zero", 3, (0.01, 0.03), 3000): (10, 47),
+    ("rotated", "uea", "plus", 5, (0.01, 0.03), 3000): (5, 153),
+    ("unrotated", "me", "zero", 3, (0.01, 0.03), 3000): (20, 186),
+    ("unrotated", "uea", "zero", 9, (0.02, 0.025), 600): (11, 15),
 }
 
 

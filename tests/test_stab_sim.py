@@ -1,10 +1,12 @@
 """Simulator cross-checks: Pauli algebra, tableau against a dense state vector, frames."""
 
+import math
+
 import numpy as np
 import pytest
 
-from surfenc.circuit_ir import Circuit, Instruction
-from surfenc.stab_sim import BatchTableau, PauliString, sample_final_frames
+from surfenc.circuit_ir import CHANNELS, Circuit, Instruction
+from surfenc.stab_sim import BatchTableau, PauliString, draw_noise, sample_final_frames
 
 
 def test_pauli_label_roundtrip():
@@ -339,3 +341,70 @@ def test_frame_marginal_flip_rates():
     for column, rate in cases:
         sigma = np.sqrt(rate * (1 - rate) / shots)
         assert abs(column.mean() - rate) < 5 * sigma
+
+
+def _binomial(n, p, k):
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+def _within(count, trials, rate):
+    """count of `trials` Bernoulli(rate) draws lies within 5 sigma of its mean."""
+    return abs(count - trials * rate) <= 5 * math.sqrt(trials * rate * (1 - rate)) + 1e-9
+
+
+# draw_noise's two subset branches: Floyd's algorithm where k * k <= S,
+# the k smallest of S keys above; (6, 0.9) also reaches k = S
+@pytest.mark.parametrize("sites, p", [(200, 0.01), (6, 0.9), (40, 0.2)])
+def test_draw_noise_follows_its_law(sites, p):
+    shots = 20_000
+    rng = np.random.default_rng([sites, 1])
+    bases = rng.choice([len(faults) for faults in CHANNELS.values()], sites)
+    shot, site, basis = draw_noise(bases, p, shots, rng).hits()
+    # every shot's sites are distinct
+    assert len(np.unique(shot * sites + site)) == len(shot)
+    # hit counts: the shots come out most hits first, Binomial(S, p) each
+    per_shot = np.bincount(shot, minlength=shots)
+    assert len(per_shot) == shots and (np.diff(per_shot) <= 0).all()
+    histogram = np.bincount(per_shot, minlength=sites + 1)
+    tested = 0
+    for k in range(sites + 1):
+        if shots * _binomial(sites, p, k) >= 20:
+            assert _within(histogram[k], shots, _binomial(sites, p, k)), k
+            tested += 1
+    assert tested >= 3
+    # each site fails with p
+    for count in np.bincount(site, minlength=sites):
+        assert _within(count, shots, p)
+    # a hit site's basis fault is uniform over its channel's faults
+    for n in np.unique(bases):
+        hit = bases[site] == n
+        counts = np.bincount(basis[hit], minlength=n)
+        assert len(counts) == n
+        assert all(_within(c, hit.sum(), 1 / n) for c in counts)
+
+
+@pytest.mark.parametrize("shots", [1, 63, 64, 65])
+def test_draw_noise_extremes(shots):
+    bases = [15, 1, 15]
+    none = draw_noise(bases, 0.0, shots, np.random.default_rng(0))
+    assert all(len(part) == 0 for part in none.hits())
+    shot, site, basis = draw_noise(bases, 1.0, shots, np.random.default_rng(0)).hits()
+    # every shot hits every site once
+    assert sorted(shot * 3 + site) == list(range(3 * shots))
+    assert (basis[site == 1] == 0).all() and (basis < 15).all()
+
+
+def test_draw_noise_takes_basis_counts_that_divide_fifteen():
+    draw_noise([3, 5, 15, 1], 0.5, 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="divide 15"):
+        draw_noise([15, 4], 0.5, 10, np.random.default_rng(0))
+
+
+def test_frames_take_one_noise_strength():
+    noise = [Instruction("X_ERROR", (0,), 0.1), Instruction("Z_ERROR", (1,), 0.2)]
+    with pytest.raises(ValueError, match="one noise strength"):
+        sample_final_frames(Circuit(2, [noise]), 10, np.random.default_rng(0))
+    # p = 0 sites are skipped, so they mix with any one strength
+    noise[1] = Instruction("Z_ERROR", (1,), 0.0)
+    fx, fz = sample_final_frames(Circuit(2, [noise]), 10, np.random.default_rng(0))
+    assert not fz.any()
