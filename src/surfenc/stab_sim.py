@@ -283,7 +283,8 @@ class BatchTableau:
 
 # A hit draws one integer in [0, _BASIS_DRAW) and reduces it modulo its
 # site's basis count, which is exact for every count that divides 15: the 15
-# Paulis of DEPOLARIZE2 and the one of a flip channel.
+# Paulis of DEPOLARIZE2 and the one of a flip channel.  It costs about a
+# third of an integers() draw with one bound per hit.
 _BASIS_DRAW = 15
 
 
@@ -336,10 +337,9 @@ def draw_noise(bases, p: float, shots: int, rng: np.random.Generator) -> NoiseDr
     suffers one of its bases[s] basis faults, uniformly.  The numbers of
     shots hit k = 0..S times are one multinomial draw over the Binomial(S, p)
     law.  A shot hit once draws its site.  A shot hit k >= 2 times draws a
-    uniform k-subset of distinct sites: by Floyd's algorithm where k * k <=
-    S, one step for all such shots at once, and otherwise as the k smallest
-    of S uniform keys, so that p near 1 costs O(S) per shot.  Then every hit
-    draws its basis fault.  p = 0 draws nothing.
+    uniform k-subset of distinct sites by Floyd's algorithm, one step for all
+    such shots at once.  Then every hit draws its basis fault.  p = 0 draws
+    nothing.
 
     The frame sampler (sample_final_frames) and the Monte Carlo harness both
     take their noise from here, so handed equal generators they see the
@@ -359,26 +359,16 @@ def draw_noise(bases, p: float, shots: int, rng: np.random.Generator) -> NoiseDr
     single_site = rng.integers(0, sites, counts[1], dtype=np.int32)
     start = np.cumsum(active) - active
     multi_site = np.empty(active.sum(), dtype=np.int32)
-    # the shots hit more than sqrt(S) times, grouped by hit count
-    large = int(np.count_nonzero(hit_count * hit_count > sites))
-    for k in np.flatnonzero(counts)[::-1].tolist():
-        if k * k <= sites:
-            break
-        lo, hi = np.searchsorted(-hit_count, (-k, 1 - k))
-        block = np.argpartition(rng.random((hi - lo, sites)), k - 1, axis=1)
-        for j in range(k):
-            multi_site[start[j] + lo:start[j] + hi] = block[:, j]
-    # Floyd's algorithm on the other shots, with column j holding the step
-    # j + 1 from the end of each k-subset: it draws t in [0, S - 1 - j] and
-    # takes t, or S - 1 - j where an earlier step (a higher column) took t
-    columns = hit_count[large:].max(initial=0)
+    # Floyd's algorithm, with column j holding the step j + 1 from the end of
+    # each k-subset: it draws t in [0, S - 1 - j] and takes t, or S - 1 - j
+    # where an earlier step (a higher column) took t
+    columns = len(active)
     for j in range(columns - 1, -1, -1):
-        t = rng.integers(0, sites - j, active[j] - large, dtype=np.int32)
+        t = rng.integers(0, sites - j, active[j], dtype=np.int32)
         taken = np.zeros(len(t), dtype=bool)
         for i in range(j + 1, columns):
-            n = active[i] - large
-            taken[:n] |= multi_site[start[i] + large:start[i] + active[i]] == t[:n]
-        multi_site[start[j] + large:start[j] + active[j]] = np.where(taken, sites - 1 - j, t)
+            taken[: active[i]] |= multi_site[start[i] : start[i] + active[i]] == t[: active[i]]
+        multi_site[start[j] : start[j] + active[j]] = np.where(taken, sites - 1 - j, t)
     basis = rng.integers(0, _BASIS_DRAW, len(single_site) + len(multi_site), dtype=np.uint8)
     single_basis, multi_basis = np.split(basis, [len(single_site)])
     return NoiseDraw(

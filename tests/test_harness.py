@@ -423,9 +423,9 @@ def test_a_noiseless_point_fails_no_shot(variant, d):
 # times, drawn from the stream in another order.
 FROZEN_FAILURES = {
     ("rotated", "ue", "zero", 3, (0.01, 0.03), 3000): (10, 47),
-    ("rotated", "uea", "plus", 5, (0.01, 0.03), 3000): (5, 153),
+    ("rotated", "uea", "plus", 5, (0.01, 0.03), 3000): (5, 173),
     ("unrotated", "me", "zero", 3, (0.01, 0.03), 3000): (20, 186),
-    ("unrotated", "uea", "zero", 9, (0.02, 0.025), 600): (11, 15),
+    ("unrotated", "uea", "zero", 9, (0.02, 0.025), 600): (11, 13),
 }
 
 

@@ -352,8 +352,8 @@ def _within(count, trials, rate):
     return abs(count - trials * rate) <= 5 * math.sqrt(trials * rate * (1 - rate)) + 1e-9
 
 
-# draw_noise's two subset branches: Floyd's algorithm where k * k <= S,
-# the k smallest of S keys above; (6, 0.9) also reaches k = S
+# Floyd's algorithm with k small against S, and with k near S, where most
+# steps find their draw taken; (6, 0.9) also reaches k = S
 @pytest.mark.parametrize("sites, p", [(200, 0.01), (6, 0.9), (40, 0.2)])
 def test_draw_noise_follows_its_law(sites, p):
     shots = 20_000
