@@ -202,18 +202,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    variant = CodeVariant(args.variant)
-    scheme = Scheme(args.scheme)
-    target = Target(args.target)
     circuit = _circuit(args)
     if isinstance(circuit, int):
         return circuit
-    code = build_code(variant, args.distance)
     report = analyze_faults(
         circuit,
-        code,
-        target,
-        scheme,
+        build_code(args.variant, args.distance),
+        args.target,
+        args.scheme,
         max_weight=2 if args.pairs else 1,
         complementary=args.complementary,
     )

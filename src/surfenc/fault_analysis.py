@@ -15,23 +15,23 @@ backward_images returns the sweep as one FaultTable: the fault sites, and
 per basis fault its site, its Pauli label and the images of its residual.
 A residual is judged by the target's CheckMatrix (decoder.py) through its
 key, syndrome | logical parity << m for m detecting checks, a Python int of
-any width.  Run in key space, the table holds every fault's key, read as
-matrix.read(res_x, res_z); the enumeration below and the Monte Carlo
-harness both take their keys from it that way.  A combination fails if
-after minimum-weight matching the corrected residual still flips the
-protected logical.  The complementary analysis uses the dual target's
-matrix, which for measurement-based circuits also reads the measured
-ancillas' outcome flips.
+any width.  A combination fails if after minimum-weight matching the
+corrected residual still flips the protected logical.  The complementary
+analysis uses the dual target's matrix, which for measurement-based
+circuits also reads the measured ancillas' outcome flips.
 
-A fault's class is its key, (syndrome, logical parity), and the C distinct
-keys are packed by CheckMatrix.pack.  SyndromeDecoder.failures judges
-them, and so every single fault.  Syndrome and parity are linear in
-the residual, so a pair fails iff the XOR of its two class keys does:
-failures over the C x C class-key XORs fills the class failure table.
-Only faults whose class has a failing partner class are expanded to fault
-pairs; there the pairs from two distinct sites are listed in row-major
-order of the fault list.  When no class pair fails, as in the protected
-analysis at d >= 5, nothing of size F x F is built for the F basis faults.
+fault_model is the one fault model that the enumeration below and the
+Monte Carlo harness both read.  It runs the sweep in a matrix's key space,
+where matrix.read(res_x, res_z) is a fault's key, and takes a fault's class
+to be its key: the C distinct keys, packed by CheckMatrix.pack, are judged
+once each by SyndromeDecoder.failures, and through them every single fault.
+Syndrome and parity are linear in the residual, so a pair fails iff the
+XOR of its two class keys does: failures over the C x C class-key XORs
+fills the class failure table.  Only faults whose class has a failing
+partner class are expanded to fault pairs; there the pairs from two
+distinct sites are listed in row-major order of the fault list.  When no
+class pair fails, as in the protected analysis at d >= 5, nothing of size
+F x F is built for the F basis faults.
 """
 
 from __future__ import annotations
@@ -141,6 +141,24 @@ def backward_images(circuit: Circuit, images: tuple[list[int], list[int]]) -> Fa
         res_x += rx
         res_z += rz
     return FaultTable(tuple(s for s, *_ in recorded), site, basis, res_x, res_z)
+
+
+def fault_model(
+    circuit: Circuit, matrix: CheckMatrix, decoder: SyndromeDecoder
+) -> tuple[FaultTable, np.ndarray, np.ndarray, np.ndarray]:
+    """(table, classes, cls, verdict): circuit's basis faults in matrix's key space.
+
+    table is backward_images in that key space.  A fault's class is its key;
+    classes holds the distinct keys, packed by matrix.pack in order of first
+    appearance, cls[f] is fault f's class and verdict[f] whether fault f
+    alone fails under decoder, which judges each class once.
+    """
+    table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
+    keys = list(map(matrix.read, table.res_x, table.res_z))
+    index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
+    cls = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    classes = matrix.pack(index)
+    return table, classes, cls, decoder.failures(classes)[cls]
 
 
 _NO_PAIRS = np.empty(0, dtype=np.intp)
@@ -278,14 +296,8 @@ def analyze_faults(
         )
     elif decoder.code.data_ids != code.data_ids:
         raise ValueError("the decoder's data qubits are not the analysed code's")
-    table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
-
-    # A fault's class is its key, numbered in order of first appearance.
-    keys = list(map(matrix.read, table.res_x, table.res_z))
-    index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
-    cls = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
-    classes = matrix.pack(index)
-    singles = [(table.describe(f),) for f in np.flatnonzero(decoder.failures(classes)[cls])]
+    table, classes, cls, verdict = fault_model(circuit, matrix, decoder)
+    singles = [(table.describe(f),) for f in np.flatnonzero(verdict)]
     failing = FailingCombinations(singles)
 
     if max_weight == 2:

@@ -7,17 +7,15 @@ are bit-identical no matter how chunks are distributed over workers.
 
 A shot's syndrome and logical parity are linear in its faults, so no qubit
 is simulated, and the fault model is p-free.  Per (variant, scheme, target,
-d), one backward pass in the key space of the target's CheckMatrix
-(fault_analysis.backward_images, the same table the exhaustive enumeration
-reads) over the circuit built at p = 0, which has every noise site, gives
-every basis fault its key, syndrome | logical parity << m for m checks,
-packed into uint64 words by CheckMatrix.pack, and its verdict (whether that
-key alone fails), and every noise site its first fault and basis count.  Per
-chunk, one stab_sim.draw_noise call draws all the noise at the point's p,
-over every noise site in circuit order, as the reference frame sampler
-stab_sim.sample_final_frames does.  The draw gives per shot its number of
-hits: a shot hit once fails iff its fault's verdict does; the keys of the
-shots hit more often are XORed, one column of hits at a time, and
+d), fault_analysis.fault_model, the model the exhaustive enumeration reads,
+gives the keys, classes and single-fault verdicts of the circuit built at
+p = 0, which has every noise site.  The Monte Carlo adds each basis fault's
+packed key, read off its class, and each noise site's first fault and basis
+count.  Per chunk, one stab_sim.draw_noise call draws all the noise at the
+point's p, over every noise site in circuit order, as the reference frame
+sampler stab_sim.sample_final_frames does.  The draw gives per shot its
+number of hits: a shot hit once fails iff its fault's verdict does; the keys
+of the shots hit more often are XORed, one column of hits at a time, and
 SyndromeDecoder.failures judges them.
 """
 
@@ -29,6 +27,7 @@ import csv
 import functools
 import math
 import operator
+import typing
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -39,7 +38,7 @@ from numpy.random import Generator, Philox
 from .code_model import CodeVariant, build_code, validate_distance
 from .decoder import SyndromeDecoder
 from .encoders import Scheme, Target, build_plan, noise_strength, plan_to_circuit
-from .fault_analysis import backward_images
+from .fault_analysis import fault_model
 from .stab_sim import draw_noise
 
 # generate_circuit and sample_final_frames stay importable from here:
@@ -48,22 +47,6 @@ from .encoders import generate_circuit  # noqa: F401
 from .stab_sim import sample_final_frames  # noqa: F401
 
 CHUNK_SHOTS = 65536
-
-# one (column, parser) pair per PointResult field, in CSV order
-_CSV_FIELDS = (
-    ("variant", str),
-    ("scheme", str),
-    ("target", str),
-    ("d", int),
-    ("p", float),
-    ("shots", int),
-    ("failures", int),
-    ("p_l", float),
-    ("ci_lo", float),
-    ("ci_hi", float),
-)
-CSV_COLUMNS = tuple(column for column, _ in _CSV_FIELDS)
-
 
 def _integer(name: str, value) -> int:
     """value as a Python int; floats, bools and strings raise ValueError."""
@@ -160,6 +143,11 @@ class PointResult:
     ci_hi: float
 
 
+# one (column, parser) pair per PointResult field, in CSV order
+_CSV_FIELDS = tuple(typing.get_type_hints(PointResult).items())
+CSV_COLUMNS = tuple(column for column, _ in _CSV_FIELDS)
+
+
 def wilson_interval(failures: int, shots: int, z: float = 1.96) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if shots <= 0:
@@ -201,21 +189,19 @@ def sample_fault_keys(engine: _PointEngine, shots: int, p: float, rng: Generator
 class _PointEngine:
     """The p-free fault model of one (variant, scheme, target, d), and its decoder.
 
-    keys[:, f] is basis fault f's key in the decoder's CheckMatrix, packed
-    by CheckMatrix.pack; faults are numbered as backward_images numbers
-    them.  verdict[f] is whether that key alone fails.  Per noise site, in
-    circuit order, first holds its first fault and bases its basis count,
-    so that a hit on site s with basis fault b is fault first[s] + b.
+    fault_model, in the decoder's key space, numbers the faults and gives
+    verdict[f]; keys[:, f] is fault f's packed key, its class's column.  Per
+    noise site, in circuit order, first holds its first fault and bases its
+    basis count, so that a hit on site s with basis fault b is fault
+    first[s] + b.
     """
 
     def __init__(self, variant: str, scheme: str, target: str, d: int):
         self.code = build_code(CodeVariant(variant), d)
         circuit = plan_to_circuit(build_plan(self.code, Scheme(scheme), Target(target)), 0.0)
         self.decoder = SyndromeDecoder(self.code, target)
-        matrix = self.decoder.matrix
-        table = backward_images(circuit, matrix.key_images(circuit.n_qubits))
-        self.keys = matrix.pack(map(matrix.read, table.res_x, table.res_z))
-        self.verdict = self.decoder.failures(self.keys)
+        table, classes, cls, self.verdict = fault_model(circuit, self.decoder.matrix, self.decoder)
+        self.keys = classes.take(cls, axis=1)
         self.bases = np.bincount(table.site, minlength=len(table.sites))
         # int32, as the draw's sites: the fault arrays peak before the judge
         self.first = (np.cumsum(self.bases) - self.bases).astype(np.int32)

@@ -101,6 +101,37 @@ def test_every_definition_in_the_package_is_referenced():
     assert unreferenced == []
 
 
+def key_space_passes(path: Path) -> list[str]:
+    """'file:definition' for each call in path of backward_images whose images
+    argument is a ....key_images(...) call, naming the innermost definition
+    that holds it."""
+
+    def name(func: ast.expr) -> str | None:
+        return getattr(func, "attr", getattr(func, "id", None))
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and name(node.func) == "backward_images"):
+            continue
+        images = node.args[1:2] + [k.value for k in node.keywords if k.arg == "images"]
+        if any(isinstance(arg, ast.Call) and name(arg.func) == "key_images" for arg in images):
+            spans = [
+                (last - first, definition)
+                for definition, first, last in definitions(path)
+                if first <= node.lineno <= last
+            ]
+            found.append(f"{path.name}:{min(spans)[1] if spans else '<module>'}")
+    return found
+
+
+def test_one_builder_turns_a_circuit_into_fault_keys():
+    # the enumeration and the Monte Carlo read one fault model: no second
+    # key-space pass may build its own keys and verdicts beside fault_model
+    package = sorted((ROOT / "src" / "surfenc").glob("*.py"))
+    found = [entry for path in package for entry in key_space_passes(path)]
+    assert found == ["fault_analysis.py:fault_model"]
+
+
 def modules_after(script: str) -> set[str]:
     """The names in sys.modules after running script in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
